@@ -110,30 +110,40 @@ def is_unique_zero_assignment(mask: np.ndarray) -> bool:
     if it stalls with every remaining line offering two or more candidates
     the answer is False.  Assumes the mask has at least one perfect
     matching; without one the stall answer False is returned as well.
+
+    Row and column counts are computed once and decremented as lines are
+    removed, so the work after the first count is one scan of the removed
+    row and column per step plus one update per removed entry.
     """
     m = np.array(mask, dtype=bool)
     n = m.shape[0]
     if m.ndim != 2 or m.shape != (n, n):
         raise ValueError("mask must be square")
-    live_rows = np.ones(n, dtype=bool)
-    live_cols = np.ones(n, dtype=bool)
-    for _ in range(n):
-        if not live_rows.any():
-            break
-        row_counts = m.sum(axis=1)
-        col_counts = m.sum(axis=0)
-        forced_rows = np.flatnonzero(live_rows & (row_counts == 1))
-        forced_cols = np.flatnonzero(live_cols & (col_counts == 1))
-        if forced_rows.size:
-            i = int(forced_rows[0])
-            j = int(np.argmax(m[i]))
-        elif forced_cols.size:
-            j = int(forced_cols[0])
-            i = int(np.argmax(m[:, j]))
+    row_counts = m.sum(axis=1)
+    col_counts = m.sum(axis=0)
+    # Lines with one candidate left; an entry can go stale once its line
+    # is removed, so each is checked again when popped.
+    forced = [(0, int(i)) for i in np.flatnonzero(row_counts == 1)]
+    forced += [(1, int(j)) for j in np.flatnonzero(col_counts == 1)]
+    removed = 0
+    while forced:
+        axis, line = forced.pop()
+        if axis == 0:
+            if row_counts[line] != 1:
+                continue
+            i, j = line, int(np.argmax(m[line]))
         else:
-            return False
-        m[i, :] = False
-        m[:, j] = False
-        live_rows[i] = False
-        live_cols[j] = False
-    return not live_rows.any()
+            if col_counts[line] != 1:
+                continue
+            i, j = int(np.argmax(m[:, line])), line
+        cols = np.flatnonzero(m[i])
+        rows = np.flatnonzero(m[:, j])
+        m[i, cols] = False
+        m[rows, j] = False
+        col_counts[cols] -= 1
+        row_counts[rows] -= 1
+        row_counts[i] = col_counts[j] = 0
+        removed += 1
+        forced += [(0, int(r)) for r in rows if row_counts[r] == 1]
+        forced += [(1, int(c)) for c in cols if col_counts[c] == 1]
+    return removed == n

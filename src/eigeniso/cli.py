@@ -165,7 +165,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         elif not report.heuristic_rejection:
             print(
                 "certificate: no zero-cost assignment of eigenspace projector "
-                f"rows exists (cost {report.root_cost:.6g})"
+                f"rows exists (cost lower bound {report.root_cost:.6g})"
             )
         else:
             print("rejected by search exhaustion (heuristic, no certificate)")

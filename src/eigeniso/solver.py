@@ -51,8 +51,6 @@ class SolverOptions:
         assignment that validates exactly.
     weight_offset: added to every loop weight (0 keeps weights 1..n; n
         avoids colliding with unit edge weights, for experiments).
-    seed: reserved for randomized tie-breaking; the default policies are
-        fully deterministic and ignore it.
     """
 
     eps: float = DEFAULT_EPS
@@ -60,7 +58,6 @@ class SolverOptions:
     skip_assigned: bool = True
     unique_early_exit: bool = True
     weight_offset: int = 0
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,10 @@ class SolveReport:
     against the unperturbed inputs.  spectral_rejection marks rejections
     certified before any assignment was solved (eigenvalue mismatch);
     heuristic_rejection marks rejection by search exhaustion, which the
-    method cannot certify.
+    method cannot certify.  root_cost is the root's spectral distance when
+    that exceeds eps, else its optimal assignment cost; an assignment cost
+    of at least eps is a lower bound of the exact optimum (see
+    :func:`build_cost_matrix`), which still certifies the rejection.
     """
 
     outcome: str
@@ -126,8 +126,79 @@ def sorted_row_distance(u_a: np.ndarray, u_b: np.ndarray) -> float:
     return float(np.linalg.norm(np.sort(u_a) - np.sort(u_b)))
 
 
-def build_cost_matrix(
+# Candidate pairs are processed in blocks so that no temporary of the exact
+# costs exceeds this many entries (64 KB).
+_PAIR_BLOCK = 2**13
+
+
+def _norm_lower_bound(
     da: SpectralDecomposition, db: SpectralDecomposition
+) -> np.ndarray:
+    """LB(i, j) = sum_k | |Va_k[i]| - |Vb_k[j]| |, a lower bound of c[i][j].
+
+    Sorting keeps norms and row i of P_k = V_k V_k^T has the norm of row i
+    of V_k, so each group's term is bounded by the reverse triangle
+    inequality.  No projector is formed; every temporary is n x n.
+    """
+    starts = [g.start for g in da.groups]
+    norms_a = np.sqrt(np.add.reduceat(da.vectors**2, starts, axis=1))
+    norms_b = np.sqrt(np.add.reduceat(db.vectors**2, starts, axis=1))
+    lb = np.zeros((da.n, db.n))
+    gap = np.empty_like(lb)
+    for k in range(len(starts)):
+        np.subtract.outer(norms_a[:, k], norms_b[:, k], out=gap)
+        lb += np.abs(gap, out=gap)
+    return lb
+
+
+def _rank_one_costs(
+    va: np.ndarray, vb: np.ndarray, ii: np.ndarray, jj: np.ndarray
+) -> np.ndarray:
+    """Costs of the pairs (ii[p], jj[p]) summed over rank-1 groups.
+
+    Column g of ``va`` and ``vb`` is the eigenvector of group g in A and B.
+    Row i of v v^T is v_i v, whose ascending-sorted copy is x u with
+    x = |v_i| and u = sort(v) when v_i >= 0, sort(-v) otherwise.  A pair's
+    cost |x u - y w| is expanded as
+    x^2 |u - w|^2 + 2 x (x - y) <u - w, w> + (x - y)^2 |w|^2, whose three
+    inner products depend only on the group and the two signs.  As u and w
+    are unit vectors up to rounding, every term is within a small factor of
+    the squared cost, so nothing cancels near zero, where eps decides (the
+    usual Gram expansion would).
+    """
+    asc_a, asc_b = np.sort(va.T, axis=1), np.sort(vb.T, axis=1)
+    # Columns indexed by 2 * (a_i < 0) + (b_j < 0), the pair's two signs.
+    dd = np.empty((va.shape[1], 4))
+    dw = np.empty_like(dd)
+    ww = np.empty((va.shape[1], 2))
+    for neg_a in (0, 1):
+        u = -asc_a[:, ::-1] if neg_a else asc_a
+        for neg_b in (0, 1):
+            w = -asc_b[:, ::-1] if neg_b else asc_b
+            diff = u - w
+            dd[:, 2 * neg_a + neg_b] = np.einsum("gn,gn->g", diff, diff)
+            dw[:, 2 * neg_a + neg_b] = np.einsum("gn,gn->g", diff, w)
+            ww[:, neg_b] = np.einsum("gn,gn->g", w, w)
+    group = np.arange(va.shape[1])
+    out = np.empty(ii.shape[0])
+    block = max(1, _PAIR_BLOCK // va.shape[1])
+    for s in range(0, ii.shape[0], block):
+        a_rows, b_rows = va[ii[s : s + block]], vb[jj[s : s + block]]
+        neg_b = (b_rows < 0).astype(np.intp)
+        combo = 2 * (a_rows < 0) + neg_b
+        x, y = np.abs(a_rows), np.abs(b_rows)
+        dx = x - y
+        sq = x * x * dd[group, combo]
+        sq += 2 * x * dx * dw[group, combo]
+        sq += dx * dx * ww[group, neg_b]
+        out[s : s + block] = np.sqrt(np.maximum(sq, 0.0)).sum(axis=1)
+    return out
+
+
+def build_cost_matrix(
+    da: SpectralDecomposition,
+    db: SpectralDecomposition,
+    eps: float | None = None,
 ) -> np.ndarray:
     """Assignment costs c[i][j] summed over matched eigenvalue groups.
 
@@ -136,6 +207,13 @@ def build_cost_matrix(
     between row i of A's projector and row j of B's.  Group multiplicity
     sequences must agree; a mismatch raises :class:`GroupStructureMismatch`
     and is treated by callers as a failed (not isospectral) check.
+
+    Without ``eps`` every entry is exact.  With ``eps``, an entry is
+    computed exactly only where a cheap lower bound leaves it below
+    ``2 * eps``; every other entry holds that bound, which is at least
+    ``eps``.  Entries below ``eps``, and with them the sub-eps mask and
+    every decision taken on it, are the same either way; an entry of at
+    least ``eps`` may be a lower bound of the exact cost.
     """
     if da.multiplicities() != db.multiplicities():
         raise GroupStructureMismatch(
@@ -143,15 +221,33 @@ def build_cost_matrix(
             f"vs {db.multiplicities()}"
         )
     n = da.n
-    c = np.zeros((n, n))
-    for k in range(len(da.groups)):
-        rows_a = np.sort(projection(da, k), axis=1)
-        rows_b = np.sort(projection(db, k), axis=1)
-        # Row-wise distances computed directly; the usual Gram expansion
-        # cancels catastrophically near zero, exactly where eps decides.
-        for i in range(n):
-            diff = rows_a[i] - rows_b
-            c[i] += np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    if eps is None:
+        c = np.empty((n, n))
+        ii, jj = np.indices((n, n)).reshape(2, -1)
+    else:
+        c = _norm_lower_bound(da, db)
+        # The factor 2 is a rounding margin between the bound and the
+        # exact cost, so no entry below eps is left at its bound.
+        ii, jj = np.nonzero(c < 2 * eps)
+    exact = np.zeros(ii.shape[0])
+    single = [g.start for g in da.groups if g.length == 1]
+    if single:
+        exact += _rank_one_costs(da.vectors[:, single], db.vectors[:, single], ii, jj)
+    multi = [k for k, g in enumerate(da.groups) if g.length > 1]
+    if multi:
+        # Larger groups: sort only the rows some candidate pair uses.
+        rows_a, at_a = np.unique(ii, return_inverse=True)
+        rows_b, at_b = np.unique(jj, return_inverse=True)
+        block = max(1, _PAIR_BLOCK // n)
+        for k in multi:
+            sorted_a = np.sort(projection(da, k)[rows_a], axis=1)
+            sorted_b = np.sort(projection(db, k)[rows_b], axis=1)
+            # Distances computed directly: the Gram expansion cancels near
+            # zero, where eps decides.
+            for s in range(0, ii.shape[0], block):
+                diff = sorted_a[at_a[s : s + block]] - sorted_b[at_b[s : s + block]]
+                exact[s : s + block] += np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    c[ii, jj] = exact
     return c
 
 
@@ -163,7 +259,7 @@ def _evaluate(
     if dist > eps:
         return dist, None, None
     try:
-        c = build_cost_matrix(da, db)
+        c = build_cost_matrix(da, db, eps)
     except GroupStructureMismatch:
         return float("inf"), None, None
     lap = solve_lap(c, eps)
@@ -178,7 +274,9 @@ def find_permutation(
     Returns the eigenvalue distance if it exceeds ``eps`` (quick reject,
     no assignment solved), otherwise the optimal assignment cost together
     with the LAP solution.  A cost below ``eps`` means the pair passes;
-    it does not by itself certify an isomorphism.
+    it does not by itself certify an isomorphism.  A cost of at least
+    ``eps`` is a lower bound of the exact optimum, since costs that cannot
+    fall below ``eps`` are not computed exactly.
     """
     if a.n != b.n:
         raise ValueError("size mismatch")
@@ -220,7 +318,13 @@ def is_isomorphic(a: Graph, b: Graph, opts: SolverOptions | None = None) -> Solv
     against the inputs, so an ``isomorphic`` outcome is unconditionally
     sound.  ``not_isomorphic`` after search exhaustion carries
     ``heuristic_rejection=True`` because exhaustion is not a certificate.
+
+    The inputs must have a zero diagonal, since the search writes its pins
+    there; a self-loop raises :class:`ValueError`.
     """
+    for g in (a, b):
+        if np.diag(g.adj).any():
+            raise ValueError("input graphs must have no self-loops (zero diagonal)")
     opts = opts or SolverOptions()
     eps = opts.eps
     if a.n != b.n:

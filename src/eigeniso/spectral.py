@@ -74,13 +74,12 @@ def group_eigenvalues(values, eps: float = DEFAULT_EPS) -> tuple[EigenGroup, ...
         raise ValueError("eps must be positive")
     if w.ndim != 1 or w.shape[0] < 1:
         raise ValueError("values must be a nonempty 1-d array")
-    groups = []
-    start = 0
-    for k in range(1, w.shape[0] + 1):
-        if k == w.shape[0] or w[k] - w[k - 1] >= eps:
-            groups.append(EigenGroup(float(w[start:k].mean()), start, k - start))
-            start = k
-    return tuple(groups)
+    cuts = (np.flatnonzero(np.diff(w) >= eps) + 1).tolist()
+    starts, ends = [0, *cuts], [*cuts, w.shape[0]]
+    sums = np.add.reduceat(w, starts).tolist()
+    return tuple(
+        EigenGroup(t / (e - s), s, e - s) for t, s, e in zip(sums, starts, ends)
+    )
 
 
 def _jacobi_eigh(a: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:

@@ -120,6 +120,15 @@ class TestUniqueZeroAssignment:
             if perfect_matchings(mask) != 1 and is_unique_zero_assignment(mask):
                 raise AssertionError(f"false uniqueness claim for\n{mask}")
 
+    def test_agrees_with_matching_count(self):
+        # a bipartite graph with a unique perfect matching always has a
+        # line with one candidate left, so elimination decides exactly
+        rng = np.random.default_rng(12)
+        for _ in range(400):
+            n = int(rng.integers(1, 7))
+            mask = rng.random((n, n)) < rng.uniform(0.1, 0.7)
+            assert is_unique_zero_assignment(mask) == (perfect_matchings(mask) == 1), mask
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             is_unique_zero_assignment(np.ones((2, 3), dtype=bool))

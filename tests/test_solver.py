@@ -21,13 +21,24 @@ from eigeniso import (
     group_eigenvalues,
     is_exact_isomorphism,
     is_isomorphic,
+    perturb,
     projection,
     random_permutation,
     sorted_row_distance,
     spectral_distance,
     srg_fixture,
 )
-from eigeniso.generators import complete, cycle, paley, path, random_gnp, triangular
+from eigeniso import solver
+from eigeniso.generators import (
+    complete,
+    cycle,
+    lattice,
+    paley,
+    path,
+    random_gnp,
+    star,
+    triangular,
+)
 from eigeniso.solver import _evaluate
 from eigeniso.spectral import SpectralDecomposition
 from helpers import lap_brute_force
@@ -99,6 +110,81 @@ class TestBuildCostMatrix:
         assert db.multiplicities() == (2, 1)
         e, lap, c = _evaluate(da, db, 1e-6)
         assert e == float("inf") and lap is None and c is None
+
+
+def _pairs_for_equivalence():
+    """(name, A, B) on the acceptance families, the SRG and cospectral pairs."""
+    cases = [
+        ("paley(13)", paley(13)),
+        ("lattice(4)", lattice(4)),
+        ("triangular(6)", triangular(6)),
+        ("random_gnp(24)", random_gnp(24, 3)),
+    ]
+    pairs = [(name, g, apply_permutation(g, random_permutation(g.n, 8))) for name, g in cases]
+    return pairs + [("srg_fixture", *srg_fixture()), ("cospectral", *cospectral_fixture())]
+
+
+class TestFilteredCostMatrix:
+    """build_cost_matrix(da, db, eps) against its exact eps=None reference."""
+
+    EPS = 1e-6
+
+    @pytest.mark.parametrize("pins", [0, 1, 2])
+    def test_same_mask_and_never_above_reference(self, pins):
+        for name, a, b in _pairs_for_equivalence():
+            # pin vertices 0..pins-1 of A and, in turn, every vertex of B
+            for j in range(b.n if pins else 1):
+                pa, pb = a, b
+                for level in range(pins):
+                    pa = perturb(pa, level, level + 1.0)
+                    pb = perturb(pb, (j + level) % b.n, level + 1.0)
+                da, db = eigendecompose(pa), eigendecompose(pb)
+                if da.multiplicities() != db.multiplicities():
+                    continue
+                ref = build_cost_matrix(da, db)
+                fil = build_cost_matrix(da, db, self.EPS)
+                assert np.array_equal(fil < self.EPS, ref < self.EPS), (name, pins, j)
+                assert np.all(fil <= ref), (name, pins, j)
+
+    def test_entries_match_sorted_row_definition(self):
+        # the closed form for rank-1 groups against projector rows, sorted
+        pairs = [(star(6), rotated(star(6), 2))]  # a rank-5 group, nonzero costs
+        for g in (cycle(6), random_gnp(9, 1)):
+            pairs.append((perturb(g, 3, 1.0), perturb(rotated(g, 2), 0, 1.0)))
+        for g, h in pairs:
+            da, db = eigendecompose(g), eigendecompose(h)
+            assert da.multiplicities() == db.multiplicities()
+            want = np.zeros((g.n, g.n))
+            for k in range(len(da.groups)):
+                pa, pb = projection(da, k), projection(db, k)
+                for i in range(g.n):
+                    for j in range(g.n):
+                        want[i, j] += sorted_row_distance(pa[i], pb[j])
+            assert np.allclose(build_cost_matrix(da, db), want, rtol=0, atol=1e-13)
+
+    def test_search_reports_unchanged(self, monkeypatch):
+        def summary(report):
+            return (
+                report.outcome,
+                report.decompositions,
+                report.lap_solves,
+                report.backtrack_steps,
+                [(r.i, r.j, r.zero_count) for r in report.rounds],
+                None if report.permutation is None else list(report.permutation.map),
+            )
+
+        pairs = _pairs_for_equivalence()
+        filtered = [summary(is_isomorphic(a, b)) for _, a, b in pairs]
+        exact = build_cost_matrix
+        monkeypatch.setattr(solver, "build_cost_matrix", lambda da, db, eps=None: exact(da, db))
+        reference = [summary(is_isomorphic(a, b)) for _, a, b in pairs]
+        assert filtered == reference
+
+    def test_reported_cost_is_lower_bound(self):
+        a, b = cospectral_fixture()
+        da, db = eigendecompose(a), eigendecompose(b)
+        best = lap_brute_force(build_cost_matrix(da, db, self.EPS))
+        assert self.EPS < best <= 6.42917749433882
 
 
 class TestFindPermutation:
@@ -241,6 +327,18 @@ class TestIsIsomorphicRejects:
         assert not report.spectral_rejection
         assert report.backtrack_steps > 0
         assert report.rounds == []
+
+
+class TestInputContract:
+    def test_self_loops_rejected(self):
+        # a relabeled loop graph once gave a corrupted-diagonal error or a
+        # witness that does not map the diagonal
+        g = Graph(np.array([[1, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]))
+        h = apply_permutation(g, Permutation([2, 0, 3, 1]))
+        with pytest.raises(ValueError, match="self-loops"):
+            is_isomorphic(g, h)
+        with pytest.raises(ValueError, match="self-loops"):
+            is_isomorphic(complete(4), h)
 
 
 class TestInconclusive:

@@ -91,6 +91,28 @@ class TestGroupEigenvalues:
         with pytest.raises(ValueError):
             group_eigenvalues(np.array([1.0, 2.0]), 0.0)
 
+    def test_matches_loop_reference(self):
+        def loop_groups(w, eps):
+            groups, start = [], 0
+            for k in range(1, w.shape[0] + 1):
+                if k == w.shape[0] or w[k] - w[k - 1] >= eps:
+                    groups.append((w[start:k].mean(), start, k - start))
+                    start = k
+            return groups
+
+        rng = np.random.default_rng(4)
+        eps = 1e-6
+        for trial in range(300):
+            # gaps drawn around eps, so chains of sub-eps gaps occur; without
+            # an offset some gaps come out exactly eps
+            gaps = rng.choice([0.0, 0.3e-6, 0.99e-6, 1e-6, 2e-6, 1.0], size=rng.integers(1, 40))
+            w = np.cumsum(gaps) + (rng.normal() if trial % 2 else 0.0)
+            got = group_eigenvalues(w, eps)
+            want = loop_groups(w, eps)
+            assert [(g.start, g.length) for g in got] == [(s, k) for _, s, k in want]
+            tol = 8 * np.finfo(float).eps * np.abs(w).max()
+            assert all(abs(g.value - m) <= tol for g, (m, _, _) in zip(got, want))
+
 
 class TestProjection:
     def test_rank_one_projector(self):
