@@ -78,12 +78,17 @@ class SolveReport:
     outcome is one of ISOMORPHIC / NOT_ISOMORPHIC / INCONCLUSIVE; the
     permutation is present exactly when isomorphic, already validated
     against the unperturbed inputs.  spectral_rejection marks rejections
-    certified before any assignment was solved (eigenvalue mismatch);
+    certified before any cost matrix was built (eigenvalue mismatch);
     heuristic_rejection marks rejection by search exhaustion, which the
     method cannot certify.  root_cost is the root's spectral distance when
-    that exceeds eps, else its optimal assignment cost; an assignment cost
-    of at least eps is a lower bound of the exact optimum (see
-    :func:`build_cost_matrix`), which still certifies the rejection.
+    that exceeds eps, else its assignment cost.  An assignment cost of at
+    least eps is a lower bound of the exact optimum, which still certifies
+    the rejection: entries that cannot fall below eps are bounds (see
+    :func:`build_cost_matrix`), and when the root's sub-eps mask has an
+    empty row or column the cost is a row- or column-minimum sum rather
+    than a solved optimum.  lap_solves counts the assignment problems
+    decided, one per cost matrix built, whether the sub-eps mask decided
+    it alone or a Hungarian solve ran.
     """
 
     outcome: str
@@ -251,10 +256,52 @@ def build_cost_matrix(
     return c
 
 
+def _sequential_sum(values: np.ndarray) -> float:
+    """Add first to last, as :func:`solve_lap` adds an assignment's entries."""
+    return float(np.add.accumulate(values)[-1])
+
+
+def _decide(c: np.ndarray, eps: float) -> tuple[float, LapSolution | None, np.ndarray]:
+    """Decide whether cost matrix ``c`` has an assignment below ``eps``.
+
+    Returns (cost, lap, sub-eps mask).  The mask decides alone when it can:
+
+    * With an empty row or column no assignment below ``eps`` exists; lap
+      is None and the cost is the sum of the minima of the rows if one is
+      empty, else of the columns: a lower bound of the optimum, and at
+      least ``eps``.  Rows come first because their sum in row order
+      never rounds above :func:`solve_lap`'s cost; the column sum can, by
+      a last bit, when it equals the optimum.
+    * A permutation mask is the optimum, since any other assignment
+      trades some of its entries, each below ``eps``, for entries of at
+      least ``eps``.  lap holds it as :func:`solve_lap` would: the same
+      cost to the bit, and ``unique`` when that cost is below ``eps``.
+
+    Every other matrix goes to :func:`solve_lap`.
+    """
+    mask = count_zero_structure(c, eps)
+    rows, cols = mask.sum(axis=1), mask.sum(axis=0)
+    if rows.min() == 0:
+        return _sequential_sum(c.min(axis=1)), None, mask
+    if cols.min() == 0:
+        return _sequential_sum(c.min(axis=0)), None, mask
+    if rows.max() == 1:  # n entries, no empty column: a permutation
+        perm = mask.argmax(axis=1)
+        cost = _sequential_sum(c[np.arange(c.shape[0]), perm])
+        return cost, LapSolution(Permutation(perm), cost, cost < eps), mask
+    lap = solve_lap(c, eps)
+    return lap.cost, lap, mask
+
+
 def _evaluate(
     da: SpectralDecomposition, db: SpectralDecomposition, eps: float
 ) -> tuple[float, LapSolution | None, np.ndarray | None]:
-    """Spectral check, then cost matrix and LAP.  (e, lap, cost matrix)."""
+    """Spectral check, then cost matrix and assignment decision.
+
+    Returns (e, lap, sub-eps mask) as :func:`_decide` does; the mask is
+    None when no cost matrix was built (spectra or group structures
+    differ), and e is then the spectral distance or ``inf``.
+    """
     dist = spectral_distance(da, db)
     if dist > eps:
         return dist, None, None
@@ -262,8 +309,7 @@ def _evaluate(
         c = build_cost_matrix(da, db, eps)
     except GroupStructureMismatch:
         return float("inf"), None, None
-    lap = solve_lap(c, eps)
-    return lap.cost, lap, c
+    return _decide(c, eps)
 
 
 def find_permutation(
@@ -272,11 +318,17 @@ def find_permutation(
     """Single feasibility check for a graph pair.
 
     Returns the eigenvalue distance if it exceeds ``eps`` (quick reject,
-    no assignment solved), otherwise the optimal assignment cost together
-    with the LAP solution.  A cost below ``eps`` means the pair passes;
-    it does not by itself certify an isomorphism.  A cost of at least
-    ``eps`` is a lower bound of the exact optimum, since costs that cannot
-    fall below ``eps`` are not computed exactly.
+    no assignment solved), otherwise the assignment cost together with the
+    LAP solution.  A cost below ``eps`` means the pair passes; it does not
+    by itself certify an isomorphism.  A cost of at least ``eps`` is a
+    lower bound of the exact optimum, since costs that cannot fall below
+    ``eps`` are not computed exactly.
+
+    When the sub-eps mask decides alone, no Hungarian solve runs: with an
+    empty row or column the LAP solution is None and the cost is a row- or
+    column-minimum sum; with a permutation mask it holds that permutation
+    and its cost, with ``unique=True`` below ``eps``, as a Hungarian solve
+    would.
     """
     if a.n != b.n:
         raise ValueError("size mismatch")
@@ -303,8 +355,7 @@ def extract_permutation(state: SearchState) -> Permutation:
     return Permutation(mapping)
 
 
-def _report_round(c: np.ndarray, eps: float, i: int, j: int, cost: float) -> RoundRecord:
-    mask = count_zero_structure(c, eps)
+def _report_round(mask: np.ndarray, i: int, j: int, cost: float) -> RoundRecord:
     zeros = int(mask.sum())
     return RoundRecord(i, j, cost, zeros, zeros / mask.size)
 
@@ -353,12 +404,12 @@ def is_isomorphic(a: Graph, b: Graph, opts: SolverOptions | None = None) -> Solv
 
     da = decomp(a)
     db = decomp(b)
-    e0, lap0, c0 = _evaluate(da, db, eps)
-    if lap0 is not None:
+    e0, lap0, mask0 = _evaluate(da, db, eps)
+    if mask0 is not None:
         counters["lap"] += 1
     if e0 > eps:
         return finish(
-            NOT_ISOMORPHIC, None, root_cost=e0, spectral_rejection=lap0 is None
+            NOT_ISOMORPHIC, None, root_cost=e0, spectral_rejection=mask0 is None
         )
     if opts.unique_early_exit and lap0 is not None and lap0.unique:
         if is_exact_isomorphism(a, b, lap0.assignment):
@@ -396,14 +447,14 @@ def is_isomorphic(a: Graph, b: Graph, opts: SolverOptions | None = None) -> Solv
                 continue
             b_try = perturb(state.b, j, w)
             db_try = decomp(b_try)
-            e, lap, c = _evaluate(da_level, db_try, eps)
-            if lap is not None:
+            e, lap, mask = _evaluate(da_level, db_try, eps)
+            if mask is not None:
                 counters["lap"] += 1
             if e < eps:
                 state.b = b_try
                 state.assigned.append((level, j, w))
                 b_used[j] = True
-                rounds.append(_report_round(c, eps, level, j, e))
+                rounds.append(_report_round(mask, level, j, e))
                 if opts.unique_early_exit and lap.unique:
                     if is_exact_isomorphism(a, b, lap.assignment):
                         return finish(ISOMORPHIC, lap.assignment, root_cost=e0)

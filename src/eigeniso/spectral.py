@@ -82,50 +82,16 @@ def group_eigenvalues(values, eps: float = DEFAULT_EPS) -> tuple[EigenGroup, ...
     )
 
 
-def _jacobi_eigh(a: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition, the auditable fallback path."""
-    m = a.astype(float).copy()
-    n = m.shape[0]
-    vecs = np.eye(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(m, -1) ** 2))
-        if off <= 1e-14 * max(1.0, np.abs(np.diag(m)).max()):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                m = rot.T @ m @ rot
-                vecs = vecs @ rot
-    else:
-        raise EigensolverError("Jacobi iteration did not converge")
-    w = np.diag(m).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], vecs[:, order]
-
-
 def eigendecompose(g: Graph, eps: float = DEFAULT_EPS) -> SpectralDecomposition:
     """Eigendecompose a graph's adjacency matrix and group its eigenvalues.
 
-    Uses the dense symmetric solver, falling back to an in-repo Jacobi
-    iteration if it fails to converge; convergence failure of both is
-    raised as :class:`EigensolverError`, never returned as garbage.
+    Uses the dense symmetric solver; its convergence failure is raised as
+    :class:`EigensolverError`, never returned as garbage.
     """
     try:
         w, v = np.linalg.eigh(g.adj)
-    except np.linalg.LinAlgError:
-        w, v = _jacobi_eigh(g.adj)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
     return SpectralDecomposition(w, v, group_eigenvalues(w, eps))
 
 

@@ -24,6 +24,7 @@ from eigeniso import (
     perturb,
     projection,
     random_permutation,
+    solve_lap,
     sorted_row_distance,
     spectral_distance,
     srg_fixture,
@@ -185,6 +186,99 @@ class TestFilteredCostMatrix:
         da, db = eigendecompose(a), eigendecompose(b)
         best = lap_brute_force(build_cost_matrix(da, db, self.EPS))
         assert self.EPS < best <= 6.42917749433882
+
+
+class TestMaskFirstDecision:
+    """solver._decide, which reads the sub-eps mask first, against solve_lap."""
+
+    EPS = 1e-6
+
+    def _cost_matrix(self, rng, kind, n):
+        eps = self.EPS
+        if kind == "permutation_at_or_above_eps":
+            n = max(n, 2)  # each mask entry below eps, their sum not
+        perm, rows = rng.permutation(n), np.arange(n)
+        if kind == "empty_line":
+            c = rng.uniform(0.0, 3 * eps, size=(n, n))
+            line = rng.uniform(eps, 3 * eps, size=n)
+            if rng.random() < 0.5:
+                c[rng.integers(n)] = line
+            else:
+                c[:, rng.integers(n)] = line
+        elif kind == "permutation_below_eps":
+            c = rng.uniform(eps, 5 * eps, size=(n, n))
+            c[rows, perm] = rng.uniform(0.0, eps / n, size=n)
+        elif kind == "permutation_at_or_above_eps":
+            c = rng.uniform(eps, 10.0, size=(n, n))
+            c[rows, perm] = rng.uniform(1.01 * eps / n, eps, size=n)
+        else:  # several sub-eps entries in some line, lines all nonempty
+            c = rng.uniform(eps, 5 * eps, size=(n, n))
+            c[rows, perm] = rng.uniform(0.0, eps / n, size=n)
+            extra = rng.random((n, n)) < rng.uniform(0.1, 0.6)
+            c[extra] = rng.uniform(0.0, eps, size=int(extra.sum()))
+        return c
+
+    def test_agrees_with_hungarian(self, monkeypatch):
+        eps = self.EPS
+        hungarian_runs = []
+
+        def counted_solve_lap(c, eps=None):
+            hungarian_runs.append(1)
+            return solve_lap(c, eps)
+
+        monkeypatch.setattr(solver, "solve_lap", counted_solve_lap)
+        diagonal = np.full((3, 3), 10.0)
+        np.fill_diagonal(diagonal, 0.4 * eps)
+        cases = [("permutation_at_or_above_eps", diagonal)]
+        rng = np.random.default_rng(11)
+        kinds = ["empty_line", "permutation_below_eps", "permutation_at_or_above_eps", "several"]
+        for t in range(1000):
+            kind = kinds[t % 4]
+            cases.append((kind, self._cost_matrix(rng, kind, 1 + t // 4 % 8)))
+        for kind, c in cases:
+            hungarian_runs.clear()
+            cost, lap, mask = solver._decide(c, eps)
+            ref = solve_lap(c, eps)
+            assert np.array_equal(mask, c < eps)
+            assert (cost < eps) == (ref.cost < eps), kind
+            if lap is None:  # an empty line: the cost is a bound
+                assert not (mask.any(axis=0).all() and mask.any(axis=1).all())
+                assert eps <= cost <= ref.cost, kind
+            else:
+                assert cost == lap.cost == ref.cost, kind
+                assert list(lap.assignment.map) == list(ref.assignment.map)
+                assert lap.unique == ref.unique, kind
+            if kind != "several":  # the mask alone decides
+                assert not hungarian_runs, kind
+
+    def test_search_reports_unchanged(self, monkeypatch):
+        def summary(report):
+            return (
+                report.outcome,
+                report.decompositions,
+                report.lap_solves,
+                report.backtrack_steps,
+                [(r.i, r.j, r.zero_count, r.cost) for r in report.rounds],
+                None if report.permutation is None else list(report.permutation.map),
+                report.spectral_rejection,
+                report.heuristic_rejection,
+            )
+
+        def hungarian_only(c, eps):
+            lap = solve_lap(c, eps)
+            return lap.cost, lap, c < eps
+
+        pairs = _pairs_for_equivalence()
+        mask_first = [is_isomorphic(a, b) for _, a, b in pairs]
+        monkeypatch.setattr(solver, "_decide", hungarian_only)
+        reference = [is_isomorphic(a, b) for _, a, b in pairs]
+        for (name, _, _), got, want in zip(pairs, mask_first, reference):
+            assert summary(got) == summary(want), name
+            if want.root_cost >= self.EPS:
+                assert self.EPS <= got.root_cost <= want.root_cost, name
+            else:
+                assert got.root_cost == want.root_cost, name
+        assert any(want.root_cost >= self.EPS for want in reference)
 
 
 class TestFindPermutation:

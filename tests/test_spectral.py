@@ -16,7 +16,7 @@ from eigeniso import (
     spectral_distance,
 )
 from eigeniso.generators import complete, cycle, lattice, paley, path, random_gnp
-from eigeniso.spectral import _jacobi_eigh
+from eigeniso.spectral import EigensolverError
 from helpers import char_poly_spectrum
 
 
@@ -213,14 +213,11 @@ class TestReconstruct:
             assert err <= 10 * delta_eig(g) * max(1.0, np.abs(g.adj).max())
 
 
-class TestJacobiFallback:
-    def test_matches_primary_solver(self):
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            m = rng.normal(size=(8, 8))
-            m = (m + m.T) / 2
-            w_ref = np.linalg.eigvalsh(m)
-            w, v = _jacobi_eigh(m)
-            assert np.allclose(w, w_ref, atol=1e-9)
-            assert np.max(np.abs(m @ v - v * w)) < 1e-9
-            assert np.max(np.abs(v.T @ v - np.eye(8))) < 1e-12
+class TestEigensolverFailure:
+    def test_linalg_error_raises_eigensolver_error(self, monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigensolverError, match="did not converge"):
+            eigendecompose(cycle(5))
