@@ -10,7 +10,6 @@ rejection.
 """
 
 from .assignment import (
-    LapSolution,
     count_zero_structure,
     is_unique_zero_assignment,
     solve_lap,
@@ -41,19 +40,15 @@ from .solver import (
     ISOMORPHIC,
     NOT_ISOMORPHIC,
     GroupStructureMismatch,
-    RoundRecord,
-    SearchState,
     SolveReport,
     SolverOptions,
     build_cost_matrix,
-    extract_permutation,
     find_permutation,
     is_isomorphic,
     sorted_row_distance,
 )
 from .spectral import (
     DEFAULT_EPS,
-    EigenGroup,
     EigensolverError,
     SpectralDecomposition,
     delta_eig,
@@ -68,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_EPS",
-    "EigenGroup",
     "EigensolverError",
     "GeneratorSpec",
     "Graph",
@@ -76,11 +70,8 @@ __all__ = [
     "GroupStructureMismatch",
     "INCONCLUSIVE",
     "ISOMORPHIC",
-    "LapSolution",
     "NOT_ISOMORPHIC",
     "Permutation",
-    "RoundRecord",
-    "SearchState",
     "SolveReport",
     "SolverOptions",
     "SpectralDecomposition",
@@ -91,7 +82,6 @@ __all__ = [
     "count_zero_structure",
     "delta_eig",
     "eigendecompose",
-    "extract_permutation",
     "find_permutation",
     "format_graph",
     "generate",

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .assignment import count_zero_structure, solve_lap
 from .generators import FAMILIES, GeneratorSpec, generate
 from .graph import (
     Graph,
@@ -26,7 +25,6 @@ from .graph import (
     format_graph,
     is_exact_isomorphism,
     load_graph,
-    perturb,
     random_permutation,
     save_graph,
 )
@@ -34,12 +32,12 @@ from .solver import (
     INCONCLUSIVE,
     ISOMORPHIC,
     NOT_ISOMORPHIC,
-    GroupStructureMismatch,
+    SearchEvent,
     SolverOptions,
-    build_cost_matrix,
     is_isomorphic,
+    search,
 )
-from .spectral import DEFAULT_EPS, eigendecompose, spectral_distance
+from .spectral import DEFAULT_EPS
 
 EXIT_ISOMORPHIC = 0
 EXIT_NOT_ISOMORPHIC = 1
@@ -112,13 +110,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable the unique-assignment early exit",
     )
-    p.add_argument(
-        "--weight-offset",
-        type=int,
-        default=0,
-        metavar="W",
-        help="add W to every perturbation weight (default 0)",
-    )
 
 
 def _options(args: argparse.Namespace) -> SolverOptions:
@@ -127,7 +118,6 @@ def _options(args: argparse.Namespace) -> SolverOptions:
         max_backtrack_steps=args.max_backtrack,
         skip_assigned=not args.no_skip_assigned,
         unique_early_exit=not args.no_early_exit,
-        weight_offset=args.weight_offset,
     )
 
 
@@ -279,55 +269,40 @@ def cmd_dump_cost(args: argparse.Namespace) -> int:
     eps = args.eps if args.eps is not None else _default_eps()
     if a.n != b.n:
         raise GraphFormatError("graphs must have the same vertex count")
-    da = eigendecompose(a, eps)
-    db = eigendecompose(b, eps)
-    if spectral_distance(da, db) > eps:
-        raise GraphFormatError("graphs are not isospectral at the root; nothing to dump")
-    try:
-        cost = build_cost_matrix(da, db)
-    except GroupStructureMismatch as exc:
-        raise GraphFormatError(f"eigenvalue group structures differ: {exc}")
+    # Without the early exit the search pins every vertex it can, so each
+    # round up to R has a mask; a backtrack overwrites that round's file.
+    events = search(a, b, SolverOptions(eps=eps, unique_early_exit=False))
+    root = next(events)
+    if root.mask is None:
+        raise GraphFormatError(
+            "graphs are not isospectral, or their eigenvalue groups differ, "
+            "at the root; nothing to dump"
+        )
     os.makedirs(args.out, exist_ok=True)
-    _write_mask(count_zero_structure(cost, eps), args.out, 0)
-    written = 1
-
-    # Forward-only replay of the search's accepting path, one mask per round.
-    cur_b = b
-    cur_a = a
-    used = np.zeros(a.n, dtype=bool)
-    for level in range(min(args.rounds, a.n)):
-        w = float(level + 1)
-        cur_a = perturb(cur_a, level, w)
-        da_l = eigendecompose(cur_a, eps)
-        accepted = False
-        for j in range(a.n):
-            if used[j]:
-                continue
-            b_try = perturb(cur_b, j, w)
-            db_j = eigendecompose(b_try, eps)
-            if spectral_distance(da_l, db_j) > eps:
-                continue
-            try:
-                c = build_cost_matrix(da_l, db_j)
-            except GroupStructureMismatch:
-                continue
-            lap = solve_lap(c, eps)
-            if lap.cost < eps:
-                cur_b = b_try
-                used[j] = True
-                _write_mask(count_zero_structure(c, eps), args.out, level + 1)
-                written += 1
-                accepted = True
-                break
-        if not accepted:
+    _write_mask(root.mask, args.out, 0)
+    rounds = min(args.rounds, a.n)
+    written = 0  # the highest round with a mask file
+    while written < rounds:
+        event = next(events)
+        if not isinstance(event, SearchEvent):  # the search ended
             print(
-                f"warning: no accepting assignment at round {level + 1}; "
-                f"wrote {written} mask(s)",
+                f"warning: no accepting assignment at round {written + 1}; "
+                f"wrote {written + 1} mask(s)",
                 file=sys.stderr,
             )
             break
-    print(f"wrote {written} mask file pair(s) to {args.out}")
+        if event.accepted:
+            _write_mask(event.mask, args.out, event.i + 1)
+            written = max(written, event.i + 1)
+    print(f"wrote {written + 1} mask file pair(s) to {args.out}")
     return 0
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dump.add_argument("file_a")
     p_dump.add_argument("file_b")
-    p_dump.add_argument("--rounds", type=int, default=2)
+    p_dump.add_argument("--rounds", type=_non_negative, default=2)
     p_dump.add_argument("-o", "--out", required=True, metavar="DIR")
     p_dump.add_argument("--eps", type=float, default=None)
     p_dump.set_defaults(func=cmd_dump_cost)

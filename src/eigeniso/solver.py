@@ -5,17 +5,23 @@ matched eigenvalue group the rows of the two orthogonal projectors are
 sorted and compared pairwise, giving a nonnegative cost matrix whose
 linear-assignment optimum is (near) zero whenever the graphs are
 isomorphic.  Because repeated eigenvalues leave the assignment ambiguous,
-the driver breaks symmetry iteratively: round i pins vertex i of A by a
-self-loop of weight i and scans vertices of B for a partner whose equally
-perturbed graph keeps the assignment cost below tolerance.  Accepted
-assignments are pushed on a stack; rounds that run out of candidates pop
-it (backtracking).  Once every vertex carries a distinct loop weight, the
-diagonals of the two perturbed matrices spell out the permutation.
+the search breaks symmetry level by level: level i pins vertex i of A by a
+self-loop of weight i + 1 and scans the vertices of B for a partner whose
+equally pinned graph keeps the assignment cost below tolerance.  Each
+level is a frame on a stack; an accepted pin pushes the next level's
+frame, and a level that runs out of candidates pops its frame and the
+pin above it (backtracking).  The accepted B-vertices, in level order,
+are the permutation.  :func:`search` yields one event per evaluated pair
+and the report last; :func:`is_isomorphic` reads only the report, and the
+``dump-cost`` command writes the masks of the events.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,16 +54,17 @@ class SolverOptions:
     skip_assigned: skip B-vertices that already carry a loop when scanning
         candidates, halving the assignment work.
     unique_early_exit: finish as soon as the sub-eps mask pins a unique
-        assignment that validates exactly.
-    weight_offset: added to every loop weight (0 keeps weights 1..n; n
-        avoids colliding with unit edge weights, for experiments).
+        assignment that validates exactly; off, the search goes on until
+        every vertex is pinned (``dump-cost`` turns it off to see every
+        round's mask).
+
+    The pin at level i has weight i + 1.
     """
 
     eps: float = DEFAULT_EPS
     max_backtrack_steps: int = 10**6
     skip_assigned: bool = True
     unique_early_exit: bool = True
-    weight_offset: int = 0
 
 
 @dataclass(frozen=True)
@@ -100,22 +107,6 @@ class SolveReport:
     root_cost: float = 0.0
     spectral_rejection: bool = False
     heuristic_rejection: bool = False
-
-
-@dataclass
-class SearchState:
-    """Mutable state of the depth-first search.
-
-    assigned holds (i, j, weight) triples in assignment order; weights
-    increase strictly down the stack.  next_candidate[k] is where the scan
-    at level k resumes after a backtrack.  a and b are the currently
-    perturbed graphs; their diagonals mirror `assigned` at all times.
-    """
-
-    a: Graph
-    b: Graph
-    assigned: list[tuple[int, int, float]] = field(default_factory=list)
-    next_candidate: list[int] = field(default_factory=list)
 
 
 def sorted_row_distance(u_a: np.ndarray, u_b: np.ndarray) -> float:
@@ -336,28 +327,132 @@ def find_permutation(
     return e, lap
 
 
-def extract_permutation(state: SearchState) -> Permutation:
-    """Read the permutation off the diagonals of the perturbed matrices.
-
-    Requires a fully assigned state: each diagonal must carry every loop
-    weight exactly once; vertex i of A maps to the vertex of B holding the
-    same weight.
-    """
-    wa = np.diag(state.a.adj)
-    wb = np.diag(state.b.adj)
-    order_a = np.argsort(wa, kind="stable")
-    order_b = np.argsort(wb, kind="stable")
-    sa, sb = wa[order_a], wb[order_b]
-    if not np.array_equal(sa, sb) or np.unique(sa).shape[0] != sa.shape[0]:
-        raise RuntimeError("diagonal weights corrupted; search invariant breached")
-    mapping = np.empty(state.a.n, dtype=int)
-    mapping[order_a] = order_b
-    return Permutation(mapping)
-
-
 def _report_round(mask: np.ndarray, i: int, j: int, cost: float) -> RoundRecord:
     zeros = int(mask.sum())
     return RoundRecord(i, j, cost, zeros, zeros / mask.size)
+
+
+class SearchEvent(NamedTuple):
+    """One evaluated pair: vertex i of A pinned against vertex j of B.
+
+    The root, where nothing is pinned, has i = j = None.  cost and mask are
+    those of :func:`_evaluate` (mask None when no cost matrix was built);
+    accepted means the pair passed: a cost below eps, or at the root, not
+    above it.
+    """
+
+    i: int | None
+    j: int | None
+    cost: float
+    mask: np.ndarray | None
+    accepted: bool
+
+
+@dataclass
+class _Frame:
+    """One level of the search: A pinned through this level (a) and its
+    decomposition (da), B before this level's pin (b), and the next
+    B-vertex to try (j)."""
+
+    a: Graph
+    da: SpectralDecomposition
+    b: Graph
+    j: int = 0
+
+
+def search(
+    a: Graph, b: Graph, opts: SolverOptions
+) -> Iterator[SearchEvent | SolveReport]:
+    """The perturbation search as a stream of events.
+
+    Yields one :class:`SearchEvent` per evaluated pair, root first, and the
+    :class:`SolveReport` as the last item.  Each pair is evaluated only
+    when the next item is asked for, so a consumer that stops reading stops
+    the search.  The inputs must pass :func:`is_isomorphic`'s checks.
+    """
+    eps = opts.eps
+    if a.n != b.n:
+        yield SolveReport(
+            NOT_ISOMORPHIC, None, root_cost=float("inf"), spectral_rejection=True
+        )
+        return
+    n = a.n
+    backtracks = lap_solves = 0
+    rounds: list[RoundRecord] = []
+
+    def report(outcome: str, perm: Permutation | None = None, **flags) -> SolveReport:
+        return SolveReport(
+            outcome,
+            perm,
+            backtrack_steps=backtracks,
+            decompositions=decompositions,
+            lap_solves=lap_solves,
+            rounds=rounds,
+            root_cost=root_cost,
+            **flags,
+        )
+
+    def frame(level: int, a_prev: Graph, b_prev: Graph) -> _Frame:
+        a_pinned = perturb(a_prev, level, level + 1.0)
+        return _Frame(a_pinned, eigendecompose(a_pinned, eps), b_prev)
+
+    root_cost, lap, mask = _evaluate(eigendecompose(a, eps), eigendecompose(b, eps), eps)
+    decompositions = 2
+    lap_solves += mask is not None
+    yield SearchEvent(None, None, root_cost, mask, root_cost <= eps)
+    if root_cost > eps:
+        yield report(NOT_ISOMORPHIC, spectral_rejection=mask is None)
+        return
+    if opts.unique_early_exit and lap is not None and lap.unique:
+        if is_exact_isomorphism(a, b, lap.assignment):
+            yield report(ISOMORPHIC, lap.assignment)
+            return
+        # The mask lied; fall through to the perturbation search.
+
+    stack = [frame(0, a, b)]
+    decompositions += 1
+    while True:
+        top = stack[-1]
+        level = len(stack) - 1
+        if top.j == n:
+            # The level ran dry: drop its frame and the round above it.
+            stack.pop()
+            if not stack:
+                yield report(NOT_ISOMORPHIC, heuristic_rejection=True)
+                return
+        else:
+            j = top.j
+            top.j += 1
+            if opts.skip_assigned and any(r.j == j for r in rounds):
+                continue
+            b_pinned = perturb(top.b, j, level + 1.0)
+            e, lap, mask = _evaluate(top.da, eigendecompose(b_pinned, eps), eps)
+            decompositions += 1
+            lap_solves += mask is not None
+            accepted = e < eps
+            yield SearchEvent(level, j, e, mask, accepted)
+            if not accepted:
+                continue
+            rounds.append(_report_round(mask, level, j, e))
+            if opts.unique_early_exit and lap.unique:
+                if is_exact_isomorphism(a, b, lap.assignment):
+                    yield report(ISOMORPHIC, lap.assignment)
+                    return
+            if level + 1 < n:
+                stack.append(frame(level + 1, top.a, b_pinned))
+                decompositions += 1
+                continue
+            # Every vertex is pinned: the accepted B-vertices are the witness.
+            witness = Permutation([r.j for r in rounds])
+            if is_exact_isomorphism(a, b, witness):
+                yield report(ISOMORPHIC, witness)
+                return
+            # Complete but invalid: drop it and keep scanning this level.
+        backtracks += 1
+        if backtracks > opts.max_backtrack_steps:
+            yield report(INCONCLUSIVE)
+            return
+        rounds.pop()
 
 
 def is_isomorphic(a: Graph, b: Graph, opts: SolverOptions | None = None) -> SolveReport:
@@ -376,118 +471,4 @@ def is_isomorphic(a: Graph, b: Graph, opts: SolverOptions | None = None) -> Solv
     for g in (a, b):
         if np.diag(g.adj).any():
             raise ValueError("input graphs must have no self-loops (zero diagonal)")
-    opts = opts or SolverOptions()
-    eps = opts.eps
-    if a.n != b.n:
-        return SolveReport(
-            NOT_ISOMORPHIC, None, root_cost=float("inf"), spectral_rejection=True
-        )
-
-    n = a.n
-    counters = {"dec": 0, "lap": 0, "bt": 0}
-    rounds: list[RoundRecord] = []
-
-    def decomp(g: Graph) -> SpectralDecomposition:
-        counters["dec"] += 1
-        return eigendecompose(g, eps)
-
-    def finish(outcome: str, perm: Permutation | None, **kw) -> SolveReport:
-        return SolveReport(
-            outcome,
-            perm,
-            backtrack_steps=counters["bt"],
-            decompositions=counters["dec"],
-            lap_solves=counters["lap"],
-            rounds=rounds,
-            **kw,
-        )
-
-    da = decomp(a)
-    db = decomp(b)
-    e0, lap0, mask0 = _evaluate(da, db, eps)
-    if mask0 is not None:
-        counters["lap"] += 1
-    if e0 > eps:
-        return finish(
-            NOT_ISOMORPHIC, None, root_cost=e0, spectral_rejection=mask0 is None
-        )
-    if opts.unique_early_exit and lap0 is not None and lap0.unique:
-        if is_exact_isomorphism(a, b, lap0.assignment):
-            return finish(ISOMORPHIC, lap0.assignment, root_cost=e0)
-        # The mask lied; fall through to the perturbation search.
-
-    state = SearchState(a=a, b=b)
-    a_decomps: list[SpectralDecomposition] = []
-    b_used = np.zeros(n, dtype=bool)
-
-    def weight(level: int) -> float:
-        return float(opts.weight_offset + level + 1)
-
-    def descend(level: int) -> None:
-        state.a = perturb(state.a, level, weight(level))
-        a_decomps.append(decomp(state.a))
-        state.next_candidate.append(0)
-
-    def backtracked() -> bool:
-        """Count one deleted assignment; True when the cap is blown."""
-        counters["bt"] += 1
-        return counters["bt"] > opts.max_backtrack_steps
-
-    descend(0)
-    while True:
-        level = len(state.assigned)
-        w = weight(level)
-        da_level = a_decomps[-1]
-        advanced = False
-        j = state.next_candidate[-1]
-        while j < n:
-            state.next_candidate[-1] = j + 1
-            if opts.skip_assigned and b_used[j]:
-                j += 1
-                continue
-            b_try = perturb(state.b, j, w)
-            db_try = decomp(b_try)
-            e, lap, mask = _evaluate(da_level, db_try, eps)
-            if mask is not None:
-                counters["lap"] += 1
-            if e < eps:
-                state.b = b_try
-                state.assigned.append((level, j, w))
-                b_used[j] = True
-                rounds.append(_report_round(mask, level, j, e))
-                if opts.unique_early_exit and lap.unique:
-                    if is_exact_isomorphism(a, b, lap.assignment):
-                        return finish(ISOMORPHIC, lap.assignment, root_cost=e0)
-                if len(state.assigned) == n:
-                    candidate = extract_permutation(state)
-                    if is_exact_isomorphism(a, b, candidate):
-                        return finish(ISOMORPHIC, candidate, root_cost=e0)
-                    # Complete but invalid: drop it and keep scanning here.
-                    if backtracked():
-                        return finish(INCONCLUSIVE, None, root_cost=e0)
-                    state.assigned.pop()
-                    rounds.pop()
-                    b_used[j] = False
-                    state.b = perturb(state.b, j, -w)
-                    j = state.next_candidate[-1]
-                    continue
-                descend(level + 1)
-                advanced = True
-                break
-            j += 1
-        if advanced:
-            continue
-        # Level exhausted: remove this round's loop on A and step up.
-        state.a = perturb(state.a, level, -w)
-        a_decomps.pop()
-        state.next_candidate.pop()
-        if level == 0:
-            return finish(
-                NOT_ISOMORPHIC, None, root_cost=e0, heuristic_rejection=True
-            )
-        if backtracked():
-            return finish(INCONCLUSIVE, None, root_cost=e0)
-        prev_level, prev_j, prev_w = state.assigned.pop()
-        rounds.pop()
-        b_used[prev_j] = False
-        state.b = perturb(state.b, prev_j, -prev_w)
+    return deque(search(a, b, opts or SolverOptions()), maxlen=1)[0]

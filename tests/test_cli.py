@@ -9,11 +9,14 @@ import pytest
 from eigeniso import (
     DEFAULT_EPS,
     Permutation,
+    SolverOptions,
     apply_permutation,
     cospectral_fixture,
     is_exact_isomorphism,
+    is_isomorphic,
     load_graph,
     parse_graph,
+    random_permutation,
     save_graph,
     srg_fixture,
 )
@@ -118,7 +121,7 @@ class TestCheck:
         argv = [
             "check", fa, fb,
             "--no-skip-assigned", "--no-early-exit",
-            "--weight-offset", "3", "--max-backtrack", "50", "--eps", "1e-6",
+            "--max-backtrack", "50", "--eps", "1e-6",
         ]
         assert main(argv) == 0
 
@@ -238,3 +241,44 @@ class TestDumpCost:
         with pytest.raises(SystemExit) as exc:
             main(["dump-cost", fa, fb])
         assert exc.value.code == 3
+
+    def test_negative_rounds_is_usage_error(self, tmp_path):
+        fa, fb = _rotated_cycle_pair(tmp_path)
+        out = str(tmp_path / "masks")
+        with pytest.raises(SystemExit) as exc:
+            main(["dump-cost", fa, fb, "--rounds", "-1", "-o", out])
+        assert exc.value.code == 3
+        assert not os.path.exists(out)
+
+    def test_zero_rounds_writes_root_only(self, tmp_path, capsys):
+        a, b = srg_fixture()  # a search that would end in exhaustion
+        fa, fb = _write(tmp_path, "a.col", a), _write(tmp_path, "b.col", b)
+        out = str(tmp_path / "masks")
+        assert main(["dump-cost", fa, fb, "--rounds", "0", "-o", out]) == 0
+        captured = capsys.readouterr()
+        assert "wrote 1 mask file pair(s)" in captured.out
+        assert captured.err == ""
+        assert sorted(os.listdir(out)) == ["mask_round0.csv", "mask_round0.pgm"]
+
+    def test_backtracking_search_writes_every_round(self, tmp_path, capsys):
+        # The first pins accepted here dead-end at round 4; the search backtracks once.
+        a = apply_permutation(paley(37), random_permutation(37, 25))
+        fa, fb = _write(tmp_path, "a.col", a), _write(tmp_path, "b.col", paley(37))
+        out = str(tmp_path / "masks")
+        assert main(["dump-cost", fa, fb, "--rounds", "4", "-o", out]) == 0
+        captured = capsys.readouterr()
+        assert "wrote 5 mask file pair(s)" in captured.out
+        assert "warning" not in captured.err
+        for k in range(5):
+            assert os.path.exists(os.path.join(out, f"mask_round{k}.pgm"))
+
+    def test_masks_match_search_rounds(self, tmp_path):
+        fa, fb = _rotated_cycle_pair(tmp_path)
+        out = str(tmp_path / "masks")
+        assert main(["dump-cost", fa, fb, "--rounds", "6", "-o", out]) == 0
+        report = is_isomorphic(
+            load_graph(fa), load_graph(fb), SolverOptions(unique_early_exit=False)
+        )
+        assert len(report.rounds) == 6
+        for k in range(1, 7):
+            assert self._mask(out, k).sum() == report.rounds[k - 1].zero_count

@@ -10,13 +10,11 @@ from eigeniso import (
     Graph,
     GroupStructureMismatch,
     Permutation,
-    SearchState,
     SolverOptions,
     apply_permutation,
     build_cost_matrix,
     cospectral_fixture,
     eigendecompose,
-    extract_permutation,
     find_permutation,
     group_eigenvalues,
     is_exact_isomorphism,
@@ -305,29 +303,6 @@ class TestFindPermutation:
             find_permutation(cycle(5), cycle(6))
 
 
-class TestExtractPermutation:
-    def test_identity_weights(self):
-        diag = np.diag(np.arange(1.0, 5.0))
-        state = SearchState(a=Graph(diag), b=Graph(diag))
-        assert list(extract_permutation(state).map) == [0, 1, 2, 3]
-
-    def test_weight_placement_spells_mapping(self):
-        # weight 2 sits at vertex 1 of A and vertex 4 of B: 1 -> 4
-        a = Graph(np.diag([1.0, 2, 3, 4, 5, 6]))
-        b = Graph(np.diag([1.0, 6, 3, 4, 2, 5]))
-        perm = extract_permutation(SearchState(a=a, b=b))
-        assert perm[1] == 4
-        assert list(perm.map) == [0, 4, 2, 3, 5, 1]
-
-    def test_corrupted_diagonals_rejected(self):
-        a = Graph(np.diag([1.0, 1, 3]))
-        b = Graph(np.diag([1.0, 2, 3]))
-        with pytest.raises(RuntimeError):
-            extract_permutation(SearchState(a=a, b=b))
-        with pytest.raises(RuntimeError):
-            extract_permutation(SearchState(a=b, b=Graph(np.diag([1.0, 2, 4]))))
-
-
 class TestIsIsomorphicAccepts:
     def test_cycle_rotation_two_rounds(self):
         g = cycle(6)
@@ -466,19 +441,34 @@ class TestOptions:
         assert on.outcome == off.outcome == ISOMORPHIC
         assert off.decompositions >= on.decompositions
 
-    def test_weight_offset(self):
-        g = cycle(6)
-        b = rotated(g)
-        report = is_isomorphic(g, b, SolverOptions(weight_offset=6))
-        assert report.outcome == ISOMORPHIC
-        assert is_exact_isomorphism(g, b, report.permutation)
-
     def test_loose_eps_still_sound_on_isomorphic_pair(self):
         g = paley(13)
         b = apply_permutation(g, random_permutation(13, 6))
         report = is_isomorphic(g, b, SolverOptions(eps=1e-4))
         assert report.outcome == ISOMORPHIC
         assert is_exact_isomorphism(g, b, report.permutation)
+
+
+class TestSearchEvents:
+    """solver.search: the event stream behind is_isomorphic and dump-cost."""
+
+    @staticmethod
+    def _fields(report):
+        fields = dict(vars(report))
+        perm = fields.pop("permutation")
+        fields["permutation"] = None if perm is None else perm.map.tolist()
+        return fields
+
+    @pytest.mark.parametrize("early", [True, False])
+    def test_last_item_is_the_report(self, early):
+        opts = SolverOptions(unique_early_exit=early)
+        for name, a, b in _pairs_for_equivalence():
+            *events, last = solver.search(a, b, opts)
+            report = is_isomorphic(a, b, opts)
+            assert self._fields(last) == self._fields(report), name
+            assert events[0].i is None and events[0].j is None, name
+            assert all(isinstance(e, solver.SearchEvent) for e in events), name
+            assert sum(e.mask is not None for e in events) == report.lap_solves, name
 
 
 class TestCounters:
