@@ -101,6 +101,59 @@ def count_zero_structure(c: np.ndarray, eps: float) -> np.ndarray:
     return np.asarray(c) < eps
 
 
+def perfect_matching(mask: np.ndarray) -> np.ndarray | None:
+    """A perfect matching inside a square boolean mask, or None if none exists.
+
+    Returns ``col`` with ``mask[i, col[i]]`` for every row i, a bijection.
+    Rows are first matched greedily to their lowest free column; each row
+    left over is then matched along a shortest augmenting path (a
+    breadth-first search over alternating paths, Hopcroft–Karp 1973 with
+    one path per phase).  A row with no augmenting path proves that no
+    perfect matching exists (Berge), so the search stops there.  Plain
+    Python lists: at the sizes the search meets (n of a few dozen) this is
+    cheaper than any dense O(n^3) solve.
+    """
+    m = np.asarray(mask, dtype=bool)
+    n = m.shape[0]
+    if m.ndim != 2 or m.shape != (n, n):
+        raise ValueError("mask must be square")
+    ii, jj = np.nonzero(m)
+    cols = jj.tolist()
+    ends = np.cumsum(np.bincount(ii, minlength=n)).tolist()
+    adj = [cols[s:e] for s, e in zip([0] + ends[:-1], ends)]
+    row_of = [-1] * n  # row matched to each column
+    col_of = [-1] * n  # column matched to each row
+    for i in range(n):
+        for j in adj[i]:
+            if row_of[j] < 0:
+                row_of[j], col_of[i] = i, j
+                break
+    for i in range(n):
+        if col_of[i] >= 0:
+            continue
+        came_from = [-1] * n  # the row from which the search reached a column
+        frontier, end = [i], -1
+        while frontier and end < 0:
+            reached = []
+            for r in frontier:
+                for j in adj[r]:
+                    if came_from[j] < 0:
+                        came_from[j] = r
+                        if row_of[j] < 0:
+                            end = j
+                            break
+                        reached.append(row_of[j])
+                if end >= 0:
+                    break
+            frontier = reached
+        if end < 0:
+            return None
+        while end >= 0:  # flip the path back to row i
+            r = came_from[end]
+            row_of[end], col_of[r], end = r, end, col_of[r]
+    return np.array(col_of)
+
+
 def is_unique_zero_assignment(mask: np.ndarray) -> bool:
     """Decide whether a feasibility mask admits exactly one perfect matching.
 

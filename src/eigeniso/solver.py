@@ -11,21 +11,32 @@ equally pinned graph keeps the assignment cost below tolerance.  Each
 level is a frame on a stack; an accepted pin pushes the next level's
 frame, and a level that runs out of candidates pops its frame and the
 pin above it (backtracking).  The accepted B-vertices, in level order,
-are the permutation.  :func:`search` yields one event per evaluated pair
-and the report last; :func:`is_isomorphic` reads only the report, and the
-``dump-cost`` command writes the masks of the events.
+are the permutation.  A level's candidates are only the B-vertices that
+the sub-eps mask of the pin above it allows.  Below the root, a perfect
+matching inside the mask that costs less than eps accepts a pair without
+a Hungarian solve; the Hungarian runs for such a round only if it reaches
+the report, so that every reported cost is an optimum.  :func:`search`
+yields one event per evaluated pair and the report last;
+:func:`is_isomorphic` reads only the report, and the ``dump-cost``
+command writes the masks of the events.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import LapSolution, count_zero_structure, solve_lap
+from .assignment import (
+    LapSolution,
+    count_zero_structure,
+    is_unique_zero_assignment,
+    perfect_matching,
+    solve_lap,
+)
 from .graph import Graph, Permutation, is_exact_isomorphism, perturb
 from .spectral import (
     DEFAULT_EPS,
@@ -52,7 +63,7 @@ class SolverOptions:
     max_backtrack_steps: deleted assignments allowed before giving up
         (outcome inconclusive, never a wrong answer).
     skip_assigned: skip B-vertices that already carry a loop when scanning
-        candidates, halving the assignment work.
+        candidates.
     unique_early_exit: finish as soon as the sub-eps mask pins a unique
         assignment that validates exactly; off, the search goes on until
         every vertex is pinned (``dump-cost`` turns it off to see every
@@ -95,7 +106,8 @@ class SolveReport:
     empty row or column the cost is a row- or column-minimum sum rather
     than a solved optimum.  lap_solves counts the assignment problems
     decided, one per cost matrix built, whether the sub-eps mask decided
-    it alone or a Hungarian solve ran.
+    it alone, a perfect matching inside it did, or a Hungarian solve
+    ran.  Every round's cost is the optimum of its cost matrix.
     """
 
     outcome: str
@@ -284,6 +296,24 @@ def _decide(c: np.ndarray, eps: float) -> tuple[float, LapSolution | None, np.nd
     return lap.cost, lap, mask
 
 
+def _cost_matrix(
+    da: SpectralDecomposition, db: SpectralDecomposition, eps: float
+) -> tuple[float, np.ndarray | None]:
+    """Spectral check, then the cost matrix.
+
+    Returns (spectral distance, c).  c is None when no cost matrix was
+    built: the spectra differ by more than ``eps``, or the group structures
+    differ, in which case the distance is replaced by ``inf``.
+    """
+    dist = spectral_distance(da, db)
+    if dist > eps:
+        return dist, None
+    try:
+        return dist, build_cost_matrix(da, db, eps)
+    except GroupStructureMismatch:
+        return float("inf"), None
+
+
 def _evaluate(
     da: SpectralDecomposition, db: SpectralDecomposition, eps: float
 ) -> tuple[float, LapSolution | None, np.ndarray | None]:
@@ -293,14 +323,42 @@ def _evaluate(
     None when no cost matrix was built (spectra or group structures
     differ), and e is then the spectral distance or ``inf``.
     """
-    dist = spectral_distance(da, db)
-    if dist > eps:
-        return dist, None, None
-    try:
-        c = build_cost_matrix(da, db, eps)
-    except GroupStructureMismatch:
-        return float("inf"), None, None
+    e, c = _cost_matrix(da, db, eps)
+    if c is None:
+        return e, None, None
     return _decide(c, eps)
+
+
+def _decide_pinned(
+    c: np.ndarray, eps: float
+) -> tuple[float, LapSolution | None, np.ndarray, np.ndarray | None]:
+    """:func:`_decide` below the root: a matching test ahead of the Hungarian.
+
+    A mask with no empty line that is not a permutation is accepted when a
+    perfect matching inside it (:func:`perfect_matching`) costs less than
+    ``eps``, summed in row order, since the optimum is then below ``eps``
+    as well.  lap holds that matching and its cost, with ``unique`` from
+    :func:`is_unique_zero_assignment`.  A unique matching is the optimum,
+    as every other assignment uses an entry of at least ``eps``; any other
+    matching's cost is an upper bound of it.  Every other cost matrix,
+    including one whose mask has no perfect matching or whose matching
+    costs ``eps`` or more, is decided by :func:`_decide`.
+
+    Returns (cost, lap, mask, unsolved): the first three as :func:`_decide`
+    returns them, and unsolved ``c`` when the cost is a matching's that may
+    exceed the optimum, else None.
+    """
+    mask = count_zero_structure(c, eps)
+    rows, cols = mask.sum(axis=1), mask.sum(axis=0)
+    if rows.min() > 0 and cols.min() > 0 and rows.max() > 1:
+        match = perfect_matching(mask)
+        if match is not None:
+            cost = _sequential_sum(c[np.arange(c.shape[0]), match])
+            if cost < eps:
+                unique = is_unique_zero_assignment(mask)
+                lap = LapSolution(Permutation(match), cost, unique)
+                return cost, lap, mask, None if unique else c
+    return (*_decide(c, eps), None)
 
 
 def find_permutation(
@@ -336,9 +394,11 @@ class SearchEvent(NamedTuple):
     """One evaluated pair: vertex i of A pinned against vertex j of B.
 
     The root, where nothing is pinned, has i = j = None.  cost and mask are
-    those of :func:`_evaluate` (mask None when no cost matrix was built);
-    accepted means the pair passed: a cost below eps, or at the root, not
-    above it.
+    those of :func:`_evaluate` at the root and of :func:`_decide_pinned`
+    below it (mask None when no cost matrix was built); accepted means the
+    pair passed: a cost below eps, or at the root, not above it.  The cost
+    of an accepted pair below the root may be that of a sub-eps perfect
+    matching, an upper bound of the optimum that its round reports.
     """
 
     i: int | None
@@ -350,14 +410,23 @@ class SearchEvent(NamedTuple):
 
 @dataclass
 class _Frame:
-    """One level of the search: A pinned through this level (a) and its
-    decomposition (da), B before this level's pin (b), and the next
-    B-vertex to try (j)."""
+    """One level of the search.
+
+    a is A pinned through this level and da its decomposition; b is B
+    before this level's pin.  candidates are the B-vertices this level
+    tries, in order, and k indexes the next one.  pin is the round this
+    level has accepted, if any, and unsolved its cost matrix while the
+    round's cost is a matching's rather than the optimum (see
+    :func:`_decide_pinned`).
+    """
 
     a: Graph
     da: SpectralDecomposition
     b: Graph
-    j: int = 0
+    candidates: list[int]
+    k: int = 0
+    pin: RoundRecord | None = None
+    unsolved: np.ndarray | None = None
 
 
 def search(
@@ -369,6 +438,10 @@ def search(
     :class:`SolveReport` as the last item.  Each pair is evaluated only
     when the next item is asked for, so a consumer that stops reading stops
     the search.  The inputs must pass :func:`is_isomorphic`'s checks.
+
+    Level L tries only the B-vertices j with ``mask[L, j]`` in the sub-eps
+    mask of the pin that pushed it (the root's for level 0): any
+    isomorphism that extends the pins so far maps L to such a vertex.
     """
     eps = opts.eps
     if a.n != b.n:
@@ -378,9 +451,15 @@ def search(
         return
     n = a.n
     backtracks = lap_solves = 0
-    rounds: list[RoundRecord] = []
+    stack: list[_Frame] = []
 
     def report(outcome: str, perm: Permutation | None = None, **flags) -> SolveReport:
+        # A round accepted on a matching's cost reports the optimum.
+        rounds = [
+            f.pin if f.unsolved is None else replace(f.pin, cost=solve_lap(f.unsolved).cost)
+            for f in stack
+            if f.pin is not None
+        ]
         return SolveReport(
             outcome,
             perm,
@@ -392,9 +471,13 @@ def search(
             **flags,
         )
 
-    def frame(level: int, a_prev: Graph, b_prev: Graph) -> _Frame:
+    def frame(level: int, a_prev: Graph, b_prev: Graph, mask: np.ndarray) -> _Frame:
         a_pinned = perturb(a_prev, level, level + 1.0)
-        return _Frame(a_pinned, eigendecompose(a_pinned, eps), b_prev)
+        row = mask[level].copy()
+        if opts.skip_assigned:
+            row[[f.pin.j for f in stack]] = False
+        candidates = np.flatnonzero(row).tolist()
+        return _Frame(a_pinned, eigendecompose(a_pinned, eps), b_prev, candidates)
 
     root_cost, lap, mask = _evaluate(eigendecompose(a, eps), eigendecompose(b, eps), eps)
     decompositions = 2
@@ -409,41 +492,42 @@ def search(
             return
         # The mask lied; fall through to the perturbation search.
 
-    stack = [frame(0, a, b)]
+    stack.append(frame(0, a, b, mask))
     decompositions += 1
     while True:
         top = stack[-1]
         level = len(stack) - 1
-        if top.j == n:
+        if top.k == len(top.candidates):
             # The level ran dry: drop its frame and the round above it.
             stack.pop()
             if not stack:
                 yield report(NOT_ISOMORPHIC, heuristic_rejection=True)
                 return
         else:
-            j = top.j
-            top.j += 1
-            if opts.skip_assigned and any(r.j == j for r in rounds):
-                continue
+            j = top.candidates[top.k]
+            top.k += 1
             b_pinned = perturb(top.b, j, level + 1.0)
-            e, lap, mask = _evaluate(top.da, eigendecompose(b_pinned, eps), eps)
+            e, c = _cost_matrix(top.da, eigendecompose(b_pinned, eps), eps)
             decompositions += 1
-            lap_solves += mask is not None
+            lap = mask = unsolved = None
+            if c is not None:
+                lap_solves += 1
+                e, lap, mask, unsolved = _decide_pinned(c, eps)
             accepted = e < eps
             yield SearchEvent(level, j, e, mask, accepted)
             if not accepted:
                 continue
-            rounds.append(_report_round(mask, level, j, e))
+            top.pin, top.unsolved = _report_round(mask, level, j, e), unsolved
             if opts.unique_early_exit and lap.unique:
                 if is_exact_isomorphism(a, b, lap.assignment):
                     yield report(ISOMORPHIC, lap.assignment)
                     return
             if level + 1 < n:
-                stack.append(frame(level + 1, top.a, b_pinned))
+                stack.append(frame(level + 1, top.a, b_pinned, mask))
                 decompositions += 1
                 continue
             # Every vertex is pinned: the accepted B-vertices are the witness.
-            witness = Permutation([r.j for r in rounds])
+            witness = Permutation([f.pin.j for f in stack])
             if is_exact_isomorphism(a, b, witness):
                 yield report(ISOMORPHIC, witness)
                 return
@@ -452,7 +536,7 @@ def search(
         if backtracks > opts.max_backtrack_steps:
             yield report(INCONCLUSIVE)
             return
-        rounds.pop()
+        stack[-1].pin = stack[-1].unsolved = None
 
 
 def is_isomorphic(a: Graph, b: Graph, opts: SolverOptions | None = None) -> SolveReport:

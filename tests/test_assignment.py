@@ -1,9 +1,12 @@
 """Hungarian LAP solver and zero-structure analysis."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from eigeniso import count_zero_structure, is_unique_zero_assignment, solve_lap
+from eigeniso.assignment import perfect_matching
 from helpers import lap_brute_force, perfect_matchings
 
 
@@ -132,3 +135,43 @@ class TestUniqueZeroAssignment:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             is_unique_zero_assignment(np.ones((2, 3), dtype=bool))
+
+
+class TestPerfectMatching:
+    def test_against_brute_force_on_random_masks(self):
+        rng = np.random.default_rng(21)
+        found = unique = 0
+        for t in range(1200):
+            n = 1 + t % 7
+            mask = rng.random((n, n)) < rng.uniform(0.1, 0.9)
+            if rng.random() < 0.3:  # a hidden permutation, so matchings exist
+                mask[np.arange(n), rng.permutation(n)] = True
+            match = perfect_matching(mask)
+            count = perfect_matchings(mask)
+            assert (match is not None) == (count > 0), mask
+            if match is None:
+                continue
+            found += 1
+            assert sorted(match.tolist()) == list(range(n)), mask
+            assert mask[np.arange(n), match].all(), mask
+            if is_unique_zero_assignment(mask):
+                unique += 1
+                forced = [
+                    p for p in itertools.permutations(range(n)) if mask[range(n), p].all()
+                ]
+                assert [tuple(match.tolist())] == forced, mask
+        assert found > 400 and unique > 100  # every branch is exercised
+
+    def test_augmenting_path_needed(self):
+        # greedy takes (0, 0) and leaves row 1 without a column
+        mask = np.array([[True, True], [True, False]])
+        assert perfect_matching(mask).tolist() == [1, 0]
+
+    def test_hall_violation_without_empty_line(self):
+        # rows 0 and 1 both see only column 0
+        mask = np.array([[1, 0, 0], [1, 0, 0], [1, 1, 1]], dtype=bool)
+        assert perfect_matching(mask) is None
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            perfect_matching(np.ones((2, 3), dtype=bool))

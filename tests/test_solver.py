@@ -279,6 +279,183 @@ class TestMaskFirstDecision:
         assert any(want.root_cost >= self.EPS for want in reference)
 
 
+def _scan_all_search(a, b, early, eps=1e-6):
+    """The search without mask-guided lists or matching tests, as a reference.
+
+    Level L tries every B-vertex not yet pinned, and the Hungarian solve
+    decides every pinned pair.  Returns the report's fields.
+    """
+    n = a.n
+    counts = {"dec": 2, "lap": 0, "bt": 0}
+    rounds = []
+    root_cost, lap, mask = _evaluate(eigendecompose(a), eigendecompose(b), eps)
+    counts["lap"] += mask is not None
+
+    def result(outcome, perm=None, spectral=False, heuristic=False):
+        return (
+            outcome,
+            None if perm is None else list(perm.map),
+            list(rounds),
+            root_cost,
+            counts["bt"],
+            spectral,
+            heuristic,
+        )
+
+    def descend(level, a_prev, b_prev):
+        a_pinned = perturb(a_prev, level, level + 1.0)
+        da = eigendecompose(a_pinned)
+        counts["dec"] += 1
+        for j in range(n):
+            if any(r[1] == j for r in rounds):
+                continue
+            b_pinned = perturb(b_prev, j, level + 1.0)
+            db = eigendecompose(b_pinned)
+            counts["dec"] += 1
+            if spectral_distance(da, db) > eps:
+                continue
+            try:
+                c = build_cost_matrix(da, db, eps)
+            except GroupStructureMismatch:
+                continue
+            counts["lap"] += 1
+            lap = solve_lap(c, eps)
+            if lap.cost >= eps:
+                continue
+            rounds.append((level, j, lap.cost, int((c < eps).sum())))
+            if early and lap.unique and is_exact_isomorphism(a, b, lap.assignment):
+                return lap.assignment
+            if level + 1 < n:
+                found = descend(level + 1, a_pinned, b_pinned)
+                if found is not None:
+                    return found
+            else:
+                witness = Permutation([r[1] for r in rounds])
+                if is_exact_isomorphism(a, b, witness):
+                    return witness
+            counts["bt"] += 1
+            rounds.pop()
+        return None
+
+    if root_cost > eps:
+        return result(NOT_ISOMORPHIC, spectral=mask is None), counts
+    if early and lap is not None and lap.unique and is_exact_isomorphism(a, b, lap.assignment):
+        return result(ISOMORPHIC, lap.assignment), counts
+    found = descend(0, a, b)
+    if found is None:
+        return result(NOT_ISOMORPHIC, heuristic=True), counts
+    return result(ISOMORPHIC, found), counts
+
+
+class TestMaskGuidedSearch:
+    """Mask-guided candidate lists and the matching test below the root."""
+
+    @pytest.mark.parametrize("early", [True, False])
+    def test_reports_match_scan_all_reference(self, monkeypatch, early):
+        hungarian_runs = []
+
+        def counted_solve_lap(c, eps=None):
+            hungarian_runs.append(1)
+            return solve_lap(c, eps)
+
+        monkeypatch.setattr(solver, "solve_lap", counted_solve_lap)
+        for name, a, b in _pairs_for_equivalence():
+            hungarian_runs.clear()
+            report = is_isomorphic(a, b, SolverOptions(unique_early_exit=early))
+            hungarian_count = len(hungarian_runs)
+            got = (
+                report.outcome,
+                None if report.permutation is None else list(report.permutation.map),
+                [(r.i, r.j, r.cost, r.zero_count) for r in report.rounds],
+                report.root_cost,
+                report.backtrack_steps,
+                report.spectral_rejection,
+                report.heuristic_rejection,
+            )
+            want, counts = _scan_all_search(a, b, early)
+            assert got == want, name
+            assert report.decompositions <= counts["dec"], name
+            assert report.lap_solves <= counts["lap"], name
+            if name == "srg_fixture":
+                assert report.backtrack_steps > 0
+                assert report.decompositions < counts["dec"]
+                assert hungarian_count <= 1  # the root's
+
+    def test_pinned_decision_agrees_with_hungarian(self, monkeypatch):
+        eps = 1e-6
+        hungarian_runs = []
+
+        def counted_solve_lap(c, eps=None):
+            hungarian_runs.append(1)
+            return solve_lap(c, eps)
+
+        monkeypatch.setattr(solver, "solve_lap", counted_solve_lap)
+        rng = np.random.default_rng(17)
+        seen = {"matching": 0, "expensive_matching": 0, "no_matching": 0}
+        for t in range(1000):
+            n = 3 + t % 6
+            kind = ("several", "near_eps", "hall", "empty_line")[t % 4]
+            c = rng.uniform(eps, 5 * eps, size=(n, n))
+            rows, perm = np.arange(n), rng.permutation(n)
+            if kind == "several":
+                c[rows, perm] = rng.uniform(0.0, eps / n, size=n)
+                extra = rng.random((n, n)) < rng.uniform(0.1, 0.6)
+                c[extra] = rng.uniform(0.0, eps, size=int(extra.sum()))
+            elif kind == "near_eps":  # many matchings, some summing past eps
+                extra = rng.random((n, n)) < 0.6
+                c[extra] = rng.uniform(0.3 * eps, eps, size=int(extra.sum()))
+                c[rows, perm] = rng.uniform(0.3 * eps, eps, size=n)
+                if t % 8 < 4:  # a planted cheap matching
+                    c[rows, rng.permutation(n)] = rng.uniform(0.0, eps / (2 * n), size=n)
+            elif kind == "hall":  # rows 0 and 1 see only column 0, no line empty
+                c[2:, :] = np.where(rng.random((n - 2, n)) < 0.5, 0.5 * eps, c[2:, :])
+                c[2:, rng.permutation(n)[:1]] = 0.1 * eps
+                c[2 + rows[: n - 2], perm[: n - 2]] = 0.2 * eps
+                c[:2] = 3 * eps
+                c[:2, 0] = 0.1 * eps
+            else:
+                c[rows, perm] = rng.uniform(0.0, eps / n, size=n)
+                c[rng.integers(n)] = 2 * eps
+            hungarian_runs.clear()
+            cost, lap, mask, unsolved = solver._decide_pinned(c, eps)
+            ran = len(hungarian_runs)
+            ref = solve_lap(c, eps)
+            assert np.array_equal(mask, c < eps)
+            assert (cost < eps) == (ref.cost < eps), (kind, t)
+            if cost >= eps or unsolved is None:  # decided as _decide decides
+                want_cost, want_lap, _ = solver._decide(c, eps)
+                assert cost == want_cost and (lap is None) == (want_lap is None), (kind, t)
+                if lap is not None:
+                    assert list(lap.assignment.map) == list(want_lap.assignment.map)
+                    assert lap.unique == want_lap.unique, (kind, t)
+            if cost < eps:
+                assert ref.cost <= cost and lap.unique == ref.unique, (kind, t)
+                assert mask[rows, lap.assignment.map].all(), (kind, t)
+                if lap.unique:
+                    assert cost == ref.cost and unsolved is None, (kind, t)
+                    assert list(lap.assignment.map) == list(ref.assignment.map)
+                else:
+                    assert unsolved is None or unsolved is c, (kind, t)
+                if unsolved is not None:
+                    seen["matching"] += 1
+                    assert ran == 0, (kind, t)
+            if ran and mask.any(axis=0).all() and mask.any(axis=1).all():
+                seen["no_matching" if ref.cost >= eps else "expensive_matching"] += 1
+        assert min(seen.values()) > 20, seen
+
+    def test_accepted_event_cost_bounds_round_cost(self):
+        # an accepted event may carry a matching's cost; its round, the optimum
+        strict = 0
+        for name, a, b in _pairs_for_equivalence():
+            *events, report = solver.search(a, b, SolverOptions(unique_early_exit=False))
+            last = {e.i: e for e in events[1:] if e.accepted}  # level -> its last pin
+            for r in report.rounds:
+                e = last[r.i]
+                assert e.j == r.j and r.cost <= e.cost < 1e-6, name
+                strict += r.cost < e.cost
+        assert strict > 0
+
+
 class TestFindPermutation:
     def test_spectral_quick_reject(self):
         e, lap = find_permutation(complete(3), path(3))
