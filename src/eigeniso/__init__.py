@@ -3,17 +3,13 @@
 The solver certifies isomorphism by constructing an explicit vertex
 permutation: eigenvalue degeneracies are broken by adding self-loops of
 increasing weight, candidate assignments are scored by comparing sorted
-rows of eigenspace projectors, and a linear assignment solve decides
-feasibility of each round.  Non-isomorphism is reported either with a
-spectral certificate or, after exhaustive search, as a heuristic
-rejection.
+rows of eigenspace projectors, and the cost matrix's sub-eps structure
+(with a linear assignment solve where it cannot) decides feasibility of
+each round.  Non-isomorphism is reported either with a certificate or,
+after exhaustive search, as a heuristic rejection.
 """
 
-from .assignment import (
-    count_zero_structure,
-    is_unique_zero_assignment,
-    solve_lap,
-)
+from .assignment import is_unique_zero_assignment, solve_lap
 from .generators import (
     GeneratorSpec,
     brute_force_isomorphism,
@@ -39,23 +35,19 @@ from .solver import (
     INCONCLUSIVE,
     ISOMORPHIC,
     NOT_ISOMORPHIC,
-    GroupStructureMismatch,
     SolveReport,
     SolverOptions,
     build_cost_matrix,
     find_permutation,
     is_isomorphic,
-    sorted_row_distance,
 )
 from .spectral import (
     DEFAULT_EPS,
     EigensolverError,
     SpectralDecomposition,
-    delta_eig,
     eigendecompose,
     group_eigenvalues,
     projection,
-    reconstruct,
     spectral_distance,
 )
 
@@ -67,7 +59,6 @@ __all__ = [
     "GeneratorSpec",
     "Graph",
     "GraphFormatError",
-    "GroupStructureMismatch",
     "INCONCLUSIVE",
     "ISOMORPHIC",
     "NOT_ISOMORPHIC",
@@ -79,8 +70,6 @@ __all__ = [
     "brute_force_isomorphism",
     "build_cost_matrix",
     "cospectral_fixture",
-    "count_zero_structure",
-    "delta_eig",
     "eigendecompose",
     "find_permutation",
     "format_graph",
@@ -95,10 +84,8 @@ __all__ = [
     "perturb",
     "projection",
     "random_permutation",
-    "reconstruct",
     "save_graph",
     "solve_lap",
-    "sorted_row_distance",
     "spectral_distance",
     "srg_fixture",
 ]

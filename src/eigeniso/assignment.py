@@ -17,11 +17,11 @@ from .graph import Permutation
 
 
 class LapSolution(NamedTuple):
-    """Optimal assignment, its cost (summed in row order), and uniqueness.
+    """An assignment, its cost (summed in row order), and uniqueness.
 
-    ``unique`` is True only when the solution was verified to be the sole
-    perfect matching among entries below the tolerance passed to
-    :func:`solve_lap`; it stays False when no tolerance was given.
+    :func:`solve_lap` returns an optimal one.  ``unique`` is True only when
+    the assignment was verified to be the sole perfect matching among
+    entries below the tolerance; it stays False when no tolerance was given.
     """
 
     assignment: Permutation

@@ -31,7 +31,6 @@ from .graph import (
 from .solver import (
     INCONCLUSIVE,
     ISOMORPHIC,
-    NOT_ISOMORPHIC,
     SearchEvent,
     SolverOptions,
     is_isomorphic,
@@ -101,11 +100,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         help="backtrack steps before giving up as inconclusive",
     )
     p.add_argument(
-        "--no-skip-assigned",
-        action="store_true",
-        help="also scan candidate vertices that already carry a loop",
-    )
-    p.add_argument(
         "--no-early-exit",
         action="store_true",
         help="disable the unique-assignment early exit",
@@ -116,7 +110,6 @@ def _options(args: argparse.Namespace) -> SolverOptions:
     return SolverOptions(
         eps=args.eps if args.eps is not None else _default_eps(),
         max_backtrack_steps=args.max_backtrack,
-        skip_assigned=not args.no_skip_assigned,
         unique_early_exit=not args.no_early_exit,
     )
 
@@ -126,6 +119,16 @@ def _two_row(perm) -> str:
     top = " ".join(f"{i + 1:>{width}}" for i in range(len(perm)))
     bot = " ".join(f"{perm[i] + 1:>{width}}" for i in range(len(perm)))
     return f"  i : {top}\n  pi: {bot}"
+
+
+# SolveReport.reason of a rejection -> the line check prints under it.
+_REJECTION_MESSAGES = {
+    "size": "certificate: vertex counts differ",
+    "spectrum": "certificate: spectra differ (distance {cost:.6g})",
+    "assignment": "certificate: no zero-cost assignment of eigenspace projector rows"
+    " exists (cost lower bound {cost:.6g})",
+    "exhaustion": "rejected by search exhaustion (heuristic, no certificate)",
+}
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -146,22 +149,12 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"lap_solves={report.lap_solves}"
         )
         return EXIT_ISOMORPHIC
-    if report.outcome == NOT_ISOMORPHIC:
-        print("not isomorphic")
-        if a.n != b.n:
-            print("certificate: vertex counts differ")
-        elif report.spectral_rejection:
-            print(f"certificate: spectra differ (distance {report.root_cost:.6g})")
-        elif not report.heuristic_rejection:
-            print(
-                "certificate: no zero-cost assignment of eigenspace projector "
-                f"rows exists (cost lower bound {report.root_cost:.6g})"
-            )
-        else:
-            print("rejected by search exhaustion (heuristic, no certificate)")
-        return EXIT_NOT_ISOMORPHIC
-    print("inconclusive: backtrack cap reached")
-    return EXIT_INCONCLUSIVE
+    if report.outcome == INCONCLUSIVE:
+        print("inconclusive: backtrack cap reached")
+        return EXIT_INCONCLUSIVE
+    print("not isomorphic")
+    print(_REJECTION_MESSAGES[report.reason].format(cost=report.root_cost))
+    return EXIT_NOT_ISOMORPHIC
 
 
 _SPEC_RE = re.compile(r"^([a-z_]+)\s*\(?\s*(\d+)\s*\)?$")
@@ -267,17 +260,12 @@ def cmd_dump_cost(args: argparse.Namespace) -> int:
     a = load_graph(args.file_a)
     b = load_graph(args.file_b)
     eps = args.eps if args.eps is not None else _default_eps()
-    if a.n != b.n:
-        raise GraphFormatError("graphs must have the same vertex count")
     # Without the early exit the search pins every vertex it can, so each
     # round up to R has a mask; a backtrack overwrites that round's file.
     events = search(a, b, SolverOptions(eps=eps, unique_early_exit=False))
     root = next(events)
-    if root.mask is None:
-        raise GraphFormatError(
-            "graphs are not isospectral, or their eigenvalue groups differ, "
-            "at the root; nothing to dump"
-        )
+    if not isinstance(root, SearchEvent) or root.mask is None:
+        raise GraphFormatError("graphs differ in size or spectrum; nothing to dump")
     os.makedirs(args.out, exist_ok=True)
     _write_mask(root.mask, args.out, 0)
     rounds = min(args.rounds, a.n)

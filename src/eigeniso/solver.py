@@ -1,31 +1,39 @@
 """Isomorphism search: projector cost matrices, perturbation rounds, backtracking.
 
-The test for a candidate pair works on eigenspace geometry: for every
-matched eigenvalue group the rows of the two orthogonal projectors are
+For every eigenvalue group the rows of the two orthogonal projectors are
 sorted and compared pairwise, giving a nonnegative cost matrix whose
-linear-assignment optimum is (near) zero whenever the graphs are
-isomorphic.  Because repeated eigenvalues leave the assignment ambiguous,
-the search breaks symmetry level by level: level i pins vertex i of A by a
-self-loop of weight i + 1 and scans the vertices of B for a partner whose
-equally pinned graph keeps the assignment cost below tolerance.  Each
-level is a frame on a stack; an accepted pin pushes the next level's
-frame, and a level that runs out of candidates pops its frame and the
-pin above it (backtracking).  The accepted B-vertices, in level order,
-are the permutation.  A level's candidates are only the B-vertices that
-the sub-eps mask of the pin above it allows.  Below the root, a perfect
-matching inside the mask that costs less than eps accepts a pair without
-a Hungarian solve; the Hungarian runs for such a round only if it reaches
-the report, so that every reported cost is an optimum.  :func:`search`
-yields one event per evaluated pair and the report last;
-:func:`is_isomorphic` reads only the report, and the ``dump-cost``
-command writes the masks of the events.
+assignment optimum is (near) zero whenever the graphs are isomorphic.
+Both sides of a pair use one partition, cut only where both spectra have a
+gap of at least eps, and one function, :func:`_decide`, decides every cost
+matrix.  Repeated eigenvalues leave the assignment ambiguous, so the search
+pins level by level: level i puts a self-loop of weight i + 1 on vertex i
+of A and scans B for a partner whose equally pinned graph keeps the cost
+below eps.  Each level is a frame on a stack; an accepted pin pushes the
+next frame, and a level out of candidates pops its frame and the pin above
+it (backtracking).  The accepted B-vertices, in level order, are the
+permutation.  :func:`search` yields one event per evaluated pair and the
+report last; :func:`is_isomorphic` reads the report, ``dump-cost`` the
+events' masks.
+
+What exhaustion proves.  Every rejection in the search is a necessary
+condition failing: the pinned spectra differ by more than eps, or the
+sub-eps mask has no perfect matching.  Let pi be an isomorphism extending
+the pins so far.  The pinned graphs are isomorphic through pi, so every
+c[i][pi(i)] is zero up to rounding and lies in the mask; level L's
+candidates, its mask row minus the B-vertices already pinned (images of
+pinned A-vertices), contain pi(L), and the pin (L, pi(L)) passes both
+tests.  By induction an exhausted tree rules out every isomorphism,
+provided a true isomorphism's costs stay below eps.  That premise is
+numerical: rounding must stay far below eps, and both sides must be
+grouped alike, which the shared partition ensures.  As the premise is not
+checked, exhaustion is reported as reason ``"exhaustion"``, a heuristic.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +48,7 @@ from .assignment import (
 from .graph import Graph, Permutation, is_exact_isomorphism, perturb
 from .spectral import (
     DEFAULT_EPS,
+    EigenGroup,
     SpectralDecomposition,
     eigendecompose,
     projection,
@@ -51,10 +60,6 @@ NOT_ISOMORPHIC = "not_isomorphic"
 INCONCLUSIVE = "inconclusive"
 
 
-class GroupStructureMismatch(ValueError):
-    """Eigenvalue multiplicity sequences disagree; treated as not isospectral."""
-
-
 @dataclass
 class SolverOptions:
     """Tunables of the search.
@@ -62,31 +67,29 @@ class SolverOptions:
     eps: tolerance below which eigenvalues coincide and costs count as zero.
     max_backtrack_steps: deleted assignments allowed before giving up
         (outcome inconclusive, never a wrong answer).
-    skip_assigned: skip B-vertices that already carry a loop when scanning
-        candidates.
     unique_early_exit: finish as soon as the sub-eps mask pins a unique
         assignment that validates exactly; off, the search goes on until
         every vertex is pinned (``dump-cost`` turns it off to see every
         round's mask).
-
-    The pin at level i has weight i + 1.
     """
 
     eps: float = DEFAULT_EPS
     max_backtrack_steps: int = 10**6
-    skip_assigned: bool = True
     unique_early_exit: bool = True
 
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One accepted perturbation round: loop at vertex i of A, j of B."""
+    """One accepted perturbation round: loop at vertex i of A, j of B.
+
+    cost is the accepted sub-eps assignment's (see :class:`SolveReport`);
+    zero_count is the number of entries in the sub-eps mask.
+    """
 
     i: int
     j: int
     cost: float
     zero_count: int
-    zero_density: float
 
 
 @dataclass
@@ -95,19 +98,21 @@ class SolveReport:
 
     outcome is one of ISOMORPHIC / NOT_ISOMORPHIC / INCONCLUSIVE; the
     permutation is present exactly when isomorphic, already validated
-    against the unperturbed inputs.  spectral_rejection marks rejections
-    certified before any cost matrix was built (eigenvalue mismatch);
-    heuristic_rejection marks rejection by search exhaustion, which the
-    method cannot certify.  root_cost is the root's spectral distance when
-    that exceeds eps, else its assignment cost.  An assignment cost of at
-    least eps is a lower bound of the exact optimum, which still certifies
-    the rejection: entries that cannot fall below eps are bounds (see
-    :func:`build_cost_matrix`), and when the root's sub-eps mask has an
-    empty row or column the cost is a row- or column-minimum sum rather
-    than a solved optimum.  lap_solves counts the assignment problems
-    decided, one per cost matrix built, whether the sub-eps mask decided
-    it alone, a perfect matching inside it did, or a Hungarian solve
-    ran.  Every round's cost is the optimum of its cost matrix.
+    against the inputs.  Otherwise reason says why: ``"size"``,
+    ``"spectrum"`` (the spectra differ by more than eps) or
+    ``"assignment"`` (the root has no assignment below eps), each a
+    certificate; ``"exhaustion"`` (heuristic, see the module docstring); or
+    ``"backtrack_cap"`` (inconclusive).
+
+    root_cost is the root's spectral distance when that exceeds eps (inf
+    when the sizes differ), else its assignment cost.  A cost of at least
+    eps is a lower bound of the exact optimum, which still certifies the
+    rejection: entries that cannot fall below eps are bounds (see
+    :func:`build_cost_matrix`), and an empty row or column of the sub-eps
+    mask gives a row- or column-minimum sum.  A cost below eps, at the root
+    as in every round, is the accepted sub-eps assignment's: the optimum
+    when that assignment is unique, else an upper bound of it.  lap_solves
+    counts the cost matrices decided, however :func:`_decide` decided them.
     """
 
     outcome: str
@@ -117,8 +122,15 @@ class SolveReport:
     lap_solves: int = 0
     rounds: list[RoundRecord] = field(default_factory=list)
     root_cost: float = 0.0
-    spectral_rejection: bool = False
-    heuristic_rejection: bool = False
+    reason: str | None = None
+
+    @property
+    def spectral_rejection(self) -> bool:  # certified before any cost matrix
+        return self.reason in ("size", "spectrum")
+
+    @property
+    def heuristic_rejection(self) -> bool:  # exhaustion, not certified
+        return self.reason == "exhaustion"
 
 
 def sorted_row_distance(u_a: np.ndarray, u_b: np.ndarray) -> float:
@@ -203,18 +215,40 @@ def _rank_one_costs(
     return out
 
 
+def _shared_groups(
+    da: SpectralDecomposition, db: SpectralDecomposition
+) -> tuple[SpectralDecomposition, SpectralDecomposition]:
+    """Both decompositions grouped at the group starts they share.
+
+    A boundary stays only where both spectra have a gap of at least eps,
+    so both sides use the same column ranges, chosen from the spectra
+    alone.  Decompositions whose groups agree are returned unchanged.
+    """
+    shared = {g.start for g in da.groups} & {g.start for g in db.groups}
+    if len(shared) == len(da.groups) == len(db.groups):
+        return da, db
+    starts = sorted(shared)
+    sizes = np.diff([*starts, da.n]).tolist()
+
+    def regroup(d: SpectralDecomposition) -> SpectralDecomposition:
+        sums = np.add.reduceat(d.values, starts).tolist()
+        groups = tuple(EigenGroup(t / k, s, k) for t, s, k in zip(sums, starts, sizes))
+        return SpectralDecomposition(d.values, d.vectors, groups)
+
+    return regroup(da), regroup(db)
+
+
 def build_cost_matrix(
     da: SpectralDecomposition,
     db: SpectralDecomposition,
     eps: float | None = None,
 ) -> np.ndarray:
-    """Assignment costs c[i][j] summed over matched eigenvalue groups.
+    """Assignment costs c[i][j] summed over the eigenvalue groups of the pair.
 
-    For each group (matched in ascending eigenvalue order) the cost of
-    pairing vertex i of A with vertex j of B is the sorted-row distance
-    between row i of A's projector and row j of B's.  Group multiplicity
-    sequences must agree; a mismatch raises :class:`GroupStructureMismatch`
-    and is treated by callers as a failed (not isospectral) check.
+    For each group the cost of pairing vertex i of A with vertex j of B is
+    the sorted-row distance between row i of A's projector and row j of
+    B's.  A group boundary stays only where both ``da`` and ``db`` have
+    one (:func:`_shared_groups`).
 
     Without ``eps`` every entry is exact.  With ``eps``, an entry is
     computed exactly only where a cheap lower bound leaves it below
@@ -223,11 +257,7 @@ def build_cost_matrix(
     every decision taken on it, are the same either way; an entry of at
     least ``eps`` may be a lower bound of the exact cost.
     """
-    if da.multiplicities() != db.multiplicities():
-        raise GroupStructureMismatch(
-            f"eigenvalue multiplicities differ: {da.multiplicities()} "
-            f"vs {db.multiplicities()}"
-        )
+    da, db = _shared_groups(da, db)
     n = da.n
     if eps is None:
         c = np.empty((n, n))
@@ -267,20 +297,21 @@ def _sequential_sum(values: np.ndarray) -> float:
 def _decide(c: np.ndarray, eps: float) -> tuple[float, LapSolution | None, np.ndarray]:
     """Decide whether cost matrix ``c`` has an assignment below ``eps``.
 
-    Returns (cost, lap, sub-eps mask).  The mask decides alone when it can:
+    Returns (cost, lap, sub-eps mask).  Each step runs only when the ones
+    before it cannot decide:
 
-    * With an empty row or column no assignment below ``eps`` exists; lap
-      is None and the cost is the sum of the minima of the rows if one is
-      empty, else of the columns: a lower bound of the optimum, and at
-      least ``eps``.  Rows come first because their sum in row order
-      never rounds above :func:`solve_lap`'s cost; the column sum can, by
-      a last bit, when it equals the optimum.
-    * A permutation mask is the optimum, since any other assignment
-      trades some of its entries, each below ``eps``, for entries of at
-      least ``eps``.  lap holds it as :func:`solve_lap` would: the same
-      cost to the bit, and ``unique`` when that cost is below ``eps``.
-
-    Every other matrix goes to :func:`solve_lap`.
+    * Empty row or column: no assignment below ``eps`` exists.  lap is None
+      and the cost, a lower bound of the optimum and at least ``eps``, sums
+      the row minima if a row is empty (in row order that never rounds
+      above :func:`solve_lap`'s cost), else the column minima.
+    * Permutation mask: the optimum, as any other assignment trades mask
+      entries for entries of at least ``eps``; lap holds it as
+      :func:`solve_lap` would, to the bit.
+    * A perfect matching inside the mask (:func:`perfect_matching`) that
+      costs less than ``eps`` in row order is accepted, with ``unique``
+      from :func:`is_unique_zero_assignment`: it is the optimum when
+      unique, else an upper bound of it.
+    * :func:`solve_lap` decides the rest.
     """
     mask = count_zero_structure(c, eps)
     rows, cols = mask.sum(axis=1), mask.sum(axis=0)
@@ -288,30 +319,19 @@ def _decide(c: np.ndarray, eps: float) -> tuple[float, LapSolution | None, np.nd
         return _sequential_sum(c.min(axis=1)), None, mask
     if cols.min() == 0:
         return _sequential_sum(c.min(axis=0)), None, mask
+    index = np.arange(c.shape[0])
     if rows.max() == 1:  # n entries, no empty column: a permutation
         perm = mask.argmax(axis=1)
-        cost = _sequential_sum(c[np.arange(c.shape[0]), perm])
+        cost = _sequential_sum(c[index, perm])
         return cost, LapSolution(Permutation(perm), cost, cost < eps), mask
+    match = perfect_matching(mask)
+    if match is not None:
+        cost = _sequential_sum(c[index, match])
+        if cost < eps:
+            unique = is_unique_zero_assignment(mask)
+            return cost, LapSolution(Permutation(match), cost, unique), mask
     lap = solve_lap(c, eps)
     return lap.cost, lap, mask
-
-
-def _cost_matrix(
-    da: SpectralDecomposition, db: SpectralDecomposition, eps: float
-) -> tuple[float, np.ndarray | None]:
-    """Spectral check, then the cost matrix.
-
-    Returns (spectral distance, c).  c is None when no cost matrix was
-    built: the spectra differ by more than ``eps``, or the group structures
-    differ, in which case the distance is replaced by ``inf``.
-    """
-    dist = spectral_distance(da, db)
-    if dist > eps:
-        return dist, None
-    try:
-        return dist, build_cost_matrix(da, db, eps)
-    except GroupStructureMismatch:
-        return float("inf"), None
 
 
 def _evaluate(
@@ -319,46 +339,13 @@ def _evaluate(
 ) -> tuple[float, LapSolution | None, np.ndarray | None]:
     """Spectral check, then cost matrix and assignment decision.
 
-    Returns (e, lap, sub-eps mask) as :func:`_decide` does; the mask is
-    None when no cost matrix was built (spectra or group structures
-    differ), and e is then the spectral distance or ``inf``.
+    Returns (e, lap, sub-eps mask) as :func:`_decide` does, or (spectral
+    distance, None, None) when the spectra differ by more than ``eps``.
     """
-    e, c = _cost_matrix(da, db, eps)
-    if c is None:
-        return e, None, None
-    return _decide(c, eps)
-
-
-def _decide_pinned(
-    c: np.ndarray, eps: float
-) -> tuple[float, LapSolution | None, np.ndarray, np.ndarray | None]:
-    """:func:`_decide` below the root: a matching test ahead of the Hungarian.
-
-    A mask with no empty line that is not a permutation is accepted when a
-    perfect matching inside it (:func:`perfect_matching`) costs less than
-    ``eps``, summed in row order, since the optimum is then below ``eps``
-    as well.  lap holds that matching and its cost, with ``unique`` from
-    :func:`is_unique_zero_assignment`.  A unique matching is the optimum,
-    as every other assignment uses an entry of at least ``eps``; any other
-    matching's cost is an upper bound of it.  Every other cost matrix,
-    including one whose mask has no perfect matching or whose matching
-    costs ``eps`` or more, is decided by :func:`_decide`.
-
-    Returns (cost, lap, mask, unsolved): the first three as :func:`_decide`
-    returns them, and unsolved ``c`` when the cost is a matching's that may
-    exceed the optimum, else None.
-    """
-    mask = count_zero_structure(c, eps)
-    rows, cols = mask.sum(axis=1), mask.sum(axis=0)
-    if rows.min() > 0 and cols.min() > 0 and rows.max() > 1:
-        match = perfect_matching(mask)
-        if match is not None:
-            cost = _sequential_sum(c[np.arange(c.shape[0]), match])
-            if cost < eps:
-                unique = is_unique_zero_assignment(mask)
-                lap = LapSolution(Permutation(match), cost, unique)
-                return cost, lap, mask, None if unique else c
-    return (*_decide(c, eps), None)
+    dist = spectral_distance(da, db)
+    if dist > eps:
+        return dist, None, None
+    return _decide(build_cost_matrix(da, db, eps), eps)
 
 
 def find_permutation(
@@ -367,17 +354,11 @@ def find_permutation(
     """Single feasibility check for a graph pair.
 
     Returns the eigenvalue distance if it exceeds ``eps`` (quick reject,
-    no assignment solved), otherwise the assignment cost together with the
-    LAP solution.  A cost below ``eps`` means the pair passes; it does not
-    by itself certify an isomorphism.  A cost of at least ``eps`` is a
-    lower bound of the exact optimum, since costs that cannot fall below
-    ``eps`` are not computed exactly.
-
-    When the sub-eps mask decides alone, no Hungarian solve runs: with an
-    empty row or column the LAP solution is None and the cost is a row- or
-    column-minimum sum; with a permutation mask it holds that permutation
-    and its cost, with ``unique=True`` below ``eps``, as a Hungarian solve
-    would.
+    LAP solution None), else the assignment cost and LAP solution as
+    :func:`_decide` gives them.  A cost below ``eps`` passes the pair
+    without certifying an isomorphism; it is the optimum when the solution
+    is ``unique``, else an upper bound of it.  A cost of at least ``eps``
+    is a lower bound of the optimum (see :class:`SolveReport`).
     """
     if a.n != b.n:
         raise ValueError("size mismatch")
@@ -385,20 +366,13 @@ def find_permutation(
     return e, lap
 
 
-def _report_round(mask: np.ndarray, i: int, j: int, cost: float) -> RoundRecord:
-    zeros = int(mask.sum())
-    return RoundRecord(i, j, cost, zeros, zeros / mask.size)
-
-
 class SearchEvent(NamedTuple):
     """One evaluated pair: vertex i of A pinned against vertex j of B.
 
     The root, where nothing is pinned, has i = j = None.  cost and mask are
-    those of :func:`_evaluate` at the root and of :func:`_decide_pinned`
-    below it (mask None when no cost matrix was built); accepted means the
-    pair passed: a cost below eps, or at the root, not above it.  The cost
-    of an accepted pair below the root may be that of a sub-eps perfect
-    matching, an upper bound of the optimum that its round reports.
+    those of :func:`_evaluate` (mask None when no cost matrix was built);
+    accepted means the pair passed: a cost below eps, or at the root, not
+    above it.  An accepted pin's cost is also its :class:`RoundRecord`'s.
     """
 
     i: int | None
@@ -412,12 +386,9 @@ class SearchEvent(NamedTuple):
 class _Frame:
     """One level of the search.
 
-    a is A pinned through this level and da its decomposition; b is B
-    before this level's pin.  candidates are the B-vertices this level
-    tries, in order, and k indexes the next one.  pin is the round this
-    level has accepted, if any, and unsolved its cost matrix while the
-    round's cost is a matching's rather than the optimum (see
-    :func:`_decide_pinned`).
+    a is A pinned through this level, da its decomposition, b is B before
+    this level's pin; candidates are the B-vertices tried in order, k the
+    next one's index, and pin the round accepted at this level, if any.
     """
 
     a: Graph
@@ -426,7 +397,6 @@ class _Frame:
     candidates: list[int]
     k: int = 0
     pin: RoundRecord | None = None
-    unsolved: np.ndarray | None = None
 
 
 def search(
@@ -438,44 +408,33 @@ def search(
     :class:`SolveReport` as the last item.  Each pair is evaluated only
     when the next item is asked for, so a consumer that stops reading stops
     the search.  The inputs must pass :func:`is_isomorphic`'s checks.
-
-    Level L tries only the B-vertices j with ``mask[L, j]`` in the sub-eps
-    mask of the pin that pushed it (the root's for level 0): any
-    isomorphism that extends the pins so far maps L to such a vertex.
+    Level L tries the B-vertices that its parent's mask row L offers and
+    that are not pinned yet (see the module docstring).
     """
     eps = opts.eps
     if a.n != b.n:
-        yield SolveReport(
-            NOT_ISOMORPHIC, None, root_cost=float("inf"), spectral_rejection=True
-        )
+        yield SolveReport(NOT_ISOMORPHIC, None, root_cost=float("inf"), reason="size")
         return
     n = a.n
     backtracks = lap_solves = 0
     stack: list[_Frame] = []
 
-    def report(outcome: str, perm: Permutation | None = None, **flags) -> SolveReport:
-        # A round accepted on a matching's cost reports the optimum.
-        rounds = [
-            f.pin if f.unsolved is None else replace(f.pin, cost=solve_lap(f.unsolved).cost)
-            for f in stack
-            if f.pin is not None
-        ]
+    def report(outcome: str, perm=None, reason=None) -> SolveReport:
         return SolveReport(
             outcome,
             perm,
             backtrack_steps=backtracks,
             decompositions=decompositions,
             lap_solves=lap_solves,
-            rounds=rounds,
+            rounds=[f.pin for f in stack if f.pin is not None],
             root_cost=root_cost,
-            **flags,
+            reason=reason,
         )
 
     def frame(level: int, a_prev: Graph, b_prev: Graph, mask: np.ndarray) -> _Frame:
         a_pinned = perturb(a_prev, level, level + 1.0)
         row = mask[level].copy()
-        if opts.skip_assigned:
-            row[[f.pin.j for f in stack]] = False
+        row[[f.pin.j for f in stack]] = False
         candidates = np.flatnonzero(row).tolist()
         return _Frame(a_pinned, eigendecompose(a_pinned, eps), b_prev, candidates)
 
@@ -484,7 +443,7 @@ def search(
     lap_solves += mask is not None
     yield SearchEvent(None, None, root_cost, mask, root_cost <= eps)
     if root_cost > eps:
-        yield report(NOT_ISOMORPHIC, spectral_rejection=mask is None)
+        yield report(NOT_ISOMORPHIC, reason="spectrum" if mask is None else "assignment")
         return
     if opts.unique_early_exit and lap is not None and lap.unique:
         if is_exact_isomorphism(a, b, lap.assignment):
@@ -501,23 +460,19 @@ def search(
             # The level ran dry: drop its frame and the round above it.
             stack.pop()
             if not stack:
-                yield report(NOT_ISOMORPHIC, heuristic_rejection=True)
+                yield report(NOT_ISOMORPHIC, reason="exhaustion")
                 return
         else:
             j = top.candidates[top.k]
             top.k += 1
             b_pinned = perturb(top.b, j, level + 1.0)
-            e, c = _cost_matrix(top.da, eigendecompose(b_pinned, eps), eps)
+            e, lap, mask = _evaluate(top.da, eigendecompose(b_pinned, eps), eps)
             decompositions += 1
-            lap = mask = unsolved = None
-            if c is not None:
-                lap_solves += 1
-                e, lap, mask, unsolved = _decide_pinned(c, eps)
-            accepted = e < eps
-            yield SearchEvent(level, j, e, mask, accepted)
-            if not accepted:
+            lap_solves += mask is not None
+            yield SearchEvent(level, j, e, mask, e < eps)
+            if e >= eps:
                 continue
-            top.pin, top.unsolved = _report_round(mask, level, j, e), unsolved
+            top.pin = RoundRecord(level, j, e, int(mask.sum()))
             if opts.unique_early_exit and lap.unique:
                 if is_exact_isomorphism(a, b, lap.assignment):
                     yield report(ISOMORPHIC, lap.assignment)
@@ -534,9 +489,9 @@ def search(
             # Complete but invalid: drop it and keep scanning this level.
         backtracks += 1
         if backtracks > opts.max_backtrack_steps:
-            yield report(INCONCLUSIVE)
+            yield report(INCONCLUSIVE, reason="backtrack_cap")
             return
-        stack[-1].pin = stack[-1].unsolved = None
+        stack[-1].pin = None
 
 
 def is_isomorphic(a: Graph, b: Graph, opts: SolverOptions | None = None) -> SolveReport:
@@ -546,8 +501,8 @@ def is_isomorphic(a: Graph, b: Graph, opts: SolverOptions | None = None) -> Solv
     non-isomorphism), then the perturbation rounds with backtracking.  The
     returned permutation, when present, has been validated entry-for-entry
     against the inputs, so an ``isomorphic`` outcome is unconditionally
-    sound.  ``not_isomorphic`` after search exhaustion carries
-    ``heuristic_rejection=True`` because exhaustion is not a certificate.
+    sound.  ``not_isomorphic`` after search exhaustion carries reason
+    ``"exhaustion"``, as exhaustion is not a checked certificate.
 
     The inputs must have a zero diagonal, since the search writes its pins
     there; a self-loop raises :class:`ValueError`.

@@ -19,14 +19,12 @@ from eigeniso import (
     brute_force_isomorphism,
     build_cost_matrix,
     cospectral_fixture,
-    delta_eig,
     eigendecompose,
     is_exact_isomorphism,
     is_isomorphic,
     is_unique_zero_assignment,
     projection,
     random_permutation,
-    reconstruct,
     save_graph,
     solve_lap,
     spectral_distance,
@@ -34,6 +32,7 @@ from eigeniso import (
 from eigeniso.cli import main as cli_main
 from eigeniso.cli import run_bench
 from eigeniso.generators import cycle, lattice, paley, random_gnp, triangular
+from eigeniso.spectral import delta_eig, reconstruct
 from helpers import all_graphs
 
 
@@ -224,19 +223,15 @@ def test_09_complexity_budgets_on_no_backtracking_runs():
     for g in cases:
         n = g.n
         h = apply_permutation(g, random_permutation(n, 77))
-        for skip in (True, False):
-            for early in (True, False):
-                opts = SolverOptions(skip_assigned=skip, unique_early_exit=early)
-                rep = is_isomorphic(g, h, opts)
-                if rep.outcome != ISOMORPHIC or rep.backtrack_steps != 0:
-                    violations.append((n, skip, early, "backtracked"))
-                    continue
-                if rep.decompositions > 2 * n * n + 2:
-                    violations.append((n, skip, early, "dec", rep.decompositions))
-                if rep.lap_solves > n * n:
-                    violations.append((n, skip, early, "lap", rep.lap_solves))
-                if skip and rep.lap_solves > n * (n + 1) // 2 + 1:
-                    violations.append((n, skip, early, "lap-skip", rep.lap_solves))
+        for early in (True, False):
+            rep = is_isomorphic(g, h, SolverOptions(unique_early_exit=early))
+            if rep.outcome != ISOMORPHIC or rep.backtrack_steps != 0:
+                violations.append((n, early, "backtracked"))
+                continue
+            if rep.decompositions > 2 * n * n + 2:
+                violations.append((n, early, "dec", rep.decompositions))
+            if rep.lap_solves > n * (n + 1) // 2 + 1:
+                violations.append((n, early, "lap", rep.lap_solves))
     ok = not violations
     assert _verdict(
         9, "decomposition and LAP counts stay inside the stated budgets", ok

@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from eigeniso import count_zero_structure, is_unique_zero_assignment, solve_lap
-from eigeniso.assignment import perfect_matching
+from eigeniso import is_unique_zero_assignment, solve_lap
+from eigeniso.assignment import count_zero_structure, perfect_matching
 from helpers import lap_brute_force, perfect_matchings
 
 

@@ -120,7 +120,7 @@ class TestCheck:
         fa, fb = _rotated_cycle_pair(tmp_path)
         argv = [
             "check", fa, fb,
-            "--no-skip-assigned", "--no-early-exit",
+            "--no-early-exit",
             "--max-backtrack", "50", "--eps", "1e-6",
         ]
         assert main(argv) == 0

@@ -8,7 +8,6 @@ from eigeniso import (
     ISOMORPHIC,
     NOT_ISOMORPHIC,
     Graph,
-    GroupStructureMismatch,
     Permutation,
     SolverOptions,
     apply_permutation,
@@ -23,7 +22,6 @@ from eigeniso import (
     projection,
     random_permutation,
     solve_lap,
-    sorted_row_distance,
     spectral_distance,
     srg_fixture,
 )
@@ -38,7 +36,8 @@ from eigeniso.generators import (
     star,
     triangular,
 )
-from eigeniso.solver import _evaluate
+from eigeniso.assignment import perfect_matching
+from eigeniso.solver import _evaluate, sorted_row_distance
 from eigeniso.spectral import SpectralDecomposition
 from helpers import lap_brute_force
 
@@ -84,19 +83,10 @@ class TestBuildCostMatrix:
         assert best > 1e-6
         assert abs(best - 6.42917749433882) < 1e-9
 
-    def test_group_structure_mismatch_raises(self):
-        da = SpectralDecomposition(
-            np.array([0.0, 0.0, 1.0]), np.eye(3), group_eigenvalues([0.0, 0.0, 1.0])
-        )
-        db = SpectralDecomposition(
-            np.array([0.0, 1.0, 1.0]), np.eye(3), group_eigenvalues([0.0, 1.0, 1.0])
-        )
-        with pytest.raises(GroupStructureMismatch):
-            build_cost_matrix(da, db)
-
     def test_mismatch_is_failed_check_upstream(self):
         # eigenvalues agree within eps overall, yet single-linkage chaining
-        # merges one side into a single group: the pair must fail the check
+        # merges one side into a single group: the pair must not fail the
+        # check, as both sides share that group and get a cost
         da = SpectralDecomposition(
             np.array([0.0, 0.5e-6, 1.0e-6]),
             np.eye(3),
@@ -107,8 +97,23 @@ class TestBuildCostMatrix:
         )
         assert da.multiplicities() == (3,)
         assert db.multiplicities() == (2, 1)
-        e, lap, c = _evaluate(da, db, 1e-6)
-        assert e == float("inf") and lap is None and c is None
+        shared_a, shared_b = solver._shared_groups(da, db)
+        assert shared_a.multiplicities() == shared_b.multiplicities() == (3,)
+        assert np.array_equal(build_cost_matrix(da, db), np.zeros((3, 3)))
+        e, lap, mask = _evaluate(da, db, 1e-6)
+        assert e == 0.0 and lap is not None and mask.all()
+
+    def test_partition_cut_only_where_both_spectra_have_a_gap(self):
+        # A cuts after 1 and 3, B after 2 and 3: only the cut after 3 is shared
+        va, vb = [0.0, 1.0, 1.0, 2.0, 2.0], [0.0, 0.0, 1.0, 2.0, 2.0]
+        da = SpectralDecomposition(np.array(va), np.eye(5), group_eigenvalues(va))
+        db = SpectralDecomposition(np.array(vb), np.eye(5), group_eigenvalues(vb))
+        shared_a, shared_b = solver._shared_groups(da, db)
+        for d, values in ((shared_a, va), (shared_b, vb)):
+            assert [(g.start, g.length) for g in d.groups] == [(0, 3), (3, 2)]
+            assert [g.value for g in d.groups] == [sum(values[:3]) / 3, 2.0]
+        same_a, same_b = solver._shared_groups(da, da)
+        assert same_a is da and same_b is da
 
 
 def _pairs_for_equivalence():
@@ -195,6 +200,8 @@ class TestMaskFirstDecision:
         eps = self.EPS
         if kind == "permutation_at_or_above_eps":
             n = max(n, 2)  # each mask entry below eps, their sum not
+        if kind == "hall":
+            n = max(n, 4)
         perm, rows = rng.permutation(n), np.arange(n)
         if kind == "empty_line":
             c = rng.uniform(0.0, 3 * eps, size=(n, n))
@@ -209,6 +216,20 @@ class TestMaskFirstDecision:
         elif kind == "permutation_at_or_above_eps":
             c = rng.uniform(eps, 10.0, size=(n, n))
             c[rows, perm] = rng.uniform(1.01 * eps / n, eps, size=n)
+        elif kind == "near_eps":  # many matchings, some summing past eps
+            c = rng.uniform(eps, 5 * eps, size=(n, n))
+            extra = rng.random((n, n)) < 0.6
+            c[extra] = rng.uniform(0.3 * eps, eps, size=int(extra.sum()))
+            c[rows, perm] = rng.uniform(0.3 * eps, eps, size=n)
+            if rng.random() < 0.5:  # a planted cheap matching
+                c[rows, rng.permutation(n)] = rng.uniform(0.0, eps / (2 * n), size=n)
+        elif kind == "hall":  # rows 0 and 1 see only column 0, no line empty
+            c = rng.uniform(eps, 5 * eps, size=(n, n))
+            c[2:, :] = np.where(rng.random((n - 2, n)) < 0.5, 0.5 * eps, c[2:, :])
+            c[2:, rng.permutation(n)[:1]] = 0.1 * eps
+            c[2 + rows[: n - 2], perm[: n - 2]] = 0.2 * eps
+            c[:2] = 3 * eps
+            c[:2, 0] = 0.1 * eps
         else:  # several sub-eps entries in some line, lines all nonempty
             c = rng.uniform(eps, 5 * eps, size=(n, n))
             c[rows, perm] = rng.uniform(0.0, eps / n, size=n)
@@ -229,25 +250,57 @@ class TestMaskFirstDecision:
         np.fill_diagonal(diagonal, 0.4 * eps)
         cases = [("permutation_at_or_above_eps", diagonal)]
         rng = np.random.default_rng(11)
-        kinds = ["empty_line", "permutation_below_eps", "permutation_at_or_above_eps", "several"]
-        for t in range(1000):
-            kind = kinds[t % 4]
-            cases.append((kind, self._cost_matrix(rng, kind, 1 + t // 4 % 8)))
+        kinds = [
+            "empty_line",
+            "permutation_below_eps",
+            "permutation_at_or_above_eps",
+            "several",
+            "near_eps",
+            "hall",
+        ]
+        for t in range(1200):
+            kind = kinds[t % len(kinds)]
+            cases.append((kind, self._cost_matrix(rng, kind, 1 + t // len(kinds) % 8)))
+        seen = dict.fromkeys(
+            ["empty_line", "permutation", "matching", "no_matching", "expensive_matching"], 0
+        )
         for kind, c in cases:
             hungarian_runs.clear()
             cost, lap, mask = solver._decide(c, eps)
             ref = solve_lap(c, eps)
+            rows = np.arange(c.shape[0])
             assert np.array_equal(mask, c < eps)
             assert (cost < eps) == (ref.cost < eps), kind
-            if lap is None:  # an empty line: the cost is a bound
-                assert not (mask.any(axis=0).all() and mask.any(axis=1).all())
-                assert eps <= cost <= ref.cost, kind
+            lines_full = mask.any(axis=0).all() and mask.any(axis=1).all()
+            match = perfect_matching(mask) if lines_full else None
+            if not lines_full:
+                branch = "empty_line"
+            elif mask.sum() == c.shape[0]:
+                branch = "permutation"
+            elif match is None:
+                branch = "no_matching"
+            elif sum(c[rows, match].tolist()) >= eps:  # in row order
+                branch = "expensive_matching"
             else:
-                assert cost == lap.cost == ref.cost, kind
-                assert list(lap.assignment.map) == list(ref.assignment.map)
-                assert lap.unique == ref.unique, kind
-            if kind != "several":  # the mask alone decides
-                assert not hungarian_runs, kind
+                branch = "matching"
+            seen[branch] += 1
+            # the Hungarian runs only where no step before it decides
+            assert bool(hungarian_runs) == branch.endswith("_matching"), kind
+            if lap is None:  # an empty line: the cost is a bound
+                assert branch == "empty_line", kind
+                if not mask.any(axis=1).all():
+                    assert eps <= cost <= ref.cost, kind
+                else:  # a column sum may round a last bit above the optimum
+                    assert eps <= cost <= ref.cost * (1 + 1e-15), kind
+                continue
+            assert cost == lap.cost, kind
+            if cost < eps:  # the accepted sub-eps assignment
+                assert mask[rows, lap.assignment.map].all(), kind
+                assert ref.cost <= cost and lap.unique == ref.unique, kind
+            if cost >= eps or lap.unique:  # the optimum itself
+                assert cost == ref.cost, kind
+                assert list(lap.assignment.map) == list(ref.assignment.map), kind
+        assert min(seen.values()) > 20, seen
 
     def test_search_reports_unchanged(self, monkeypatch):
         def summary(report):
@@ -256,7 +309,7 @@ class TestMaskFirstDecision:
                 report.decompositions,
                 report.lap_solves,
                 report.backtrack_steps,
-                [(r.i, r.j, r.zero_count, r.cost) for r in report.rounds],
+                [(r.i, r.j, r.zero_count) for r in report.rounds],
                 None if report.permutation is None else list(report.permutation.map),
                 report.spectral_rejection,
                 report.heuristic_rejection,
@@ -272,35 +325,57 @@ class TestMaskFirstDecision:
         reference = [is_isomorphic(a, b) for _, a, b in pairs]
         for (name, _, _), got, want in zip(pairs, mask_first, reference):
             assert summary(got) == summary(want), name
-            if want.root_cost >= self.EPS:
-                assert self.EPS <= got.root_cost <= want.root_cost, name
-            else:
-                assert got.root_cost == want.root_cost, name
+            _assert_costs_by_contract(got, _costs(want), self.EPS, name)
         assert any(want.root_cost >= self.EPS for want in reference)
+
+
+def _costs(report):
+    """The root's cost, then the rounds'."""
+    return [report.root_cost] + [r.cost for r in report.rounds]
+
+
+def _assert_costs_by_contract(report, reference, eps, name):
+    """A report's costs against those of a search that runs the Hungarian.
+
+    A cost of at least eps is the reference's optimum or a lower bound of
+    it; a cost below eps is an accepted sub-eps assignment's, no lower than
+    the optimum.
+    """
+    for got, want in zip(_costs(report), reference, strict=True):
+        if want >= eps:
+            assert eps <= got <= want, name
+        else:
+            assert want <= got < eps, name
 
 
 def _scan_all_search(a, b, early, eps=1e-6):
     """The search without mask-guided lists or matching tests, as a reference.
 
     Level L tries every B-vertex not yet pinned, and the Hungarian solve
-    decides every pinned pair.  Returns the report's fields.
+    decides every pair, so every cost is an optimum or a spectral distance.
+    Returns the report's fields, its costs (the root's, then the rounds'),
+    and its operation counts.
     """
     n = a.n
     counts = {"dec": 2, "lap": 0, "bt": 0}
     rounds = []
-    root_cost, lap, mask = _evaluate(eigendecompose(a), eigendecompose(b), eps)
-    counts["lap"] += mask is not None
+    da, db = eigendecompose(a), eigendecompose(b)
+    root_cost, lap = spectral_distance(da, db), None
+    if root_cost <= eps:
+        lap = solve_lap(build_cost_matrix(da, db, eps), eps)
+        root_cost = lap.cost
+        counts["lap"] += 1
 
     def result(outcome, perm=None, spectral=False, heuristic=False):
-        return (
+        fields = (
             outcome,
             None if perm is None else list(perm.map),
-            list(rounds),
-            root_cost,
+            [(i, j, zeros) for i, j, _, zeros in rounds],
             counts["bt"],
             spectral,
             heuristic,
         )
+        return fields, [root_cost] + [cost for _, _, cost, _ in rounds], counts
 
     def descend(level, a_prev, b_prev):
         a_pinned = perturb(a_prev, level, level + 1.0)
@@ -314,10 +389,7 @@ def _scan_all_search(a, b, early, eps=1e-6):
             counts["dec"] += 1
             if spectral_distance(da, db) > eps:
                 continue
-            try:
-                c = build_cost_matrix(da, db, eps)
-            except GroupStructureMismatch:
-                continue
+            c = build_cost_matrix(da, db, eps)
             counts["lap"] += 1
             lap = solve_lap(c, eps)
             if lap.cost >= eps:
@@ -338,13 +410,13 @@ def _scan_all_search(a, b, early, eps=1e-6):
         return None
 
     if root_cost > eps:
-        return result(NOT_ISOMORPHIC, spectral=mask is None), counts
+        return result(NOT_ISOMORPHIC, spectral=lap is None)
     if early and lap is not None and lap.unique and is_exact_isomorphism(a, b, lap.assignment):
-        return result(ISOMORPHIC, lap.assignment), counts
+        return result(ISOMORPHIC, lap.assignment)
     found = descend(0, a, b)
     if found is None:
-        return result(NOT_ISOMORPHIC, heuristic=True), counts
-    return result(ISOMORPHIC, found), counts
+        return result(NOT_ISOMORPHIC, heuristic=True)
+    return result(ISOMORPHIC, found)
 
 
 class TestMaskGuidedSearch:
@@ -366,93 +438,65 @@ class TestMaskGuidedSearch:
             got = (
                 report.outcome,
                 None if report.permutation is None else list(report.permutation.map),
-                [(r.i, r.j, r.cost, r.zero_count) for r in report.rounds],
-                report.root_cost,
+                [(r.i, r.j, r.zero_count) for r in report.rounds],
                 report.backtrack_steps,
                 report.spectral_rejection,
                 report.heuristic_rejection,
             )
-            want, counts = _scan_all_search(a, b, early)
+            want, costs, counts = _scan_all_search(a, b, early)
             assert got == want, name
+            _assert_costs_by_contract(report, costs, 1e-6, name)
             assert report.decompositions <= counts["dec"], name
             assert report.lap_solves <= counts["lap"], name
             if name == "srg_fixture":
                 assert report.backtrack_steps > 0
                 assert report.decompositions < counts["dec"]
-                assert hungarian_count <= 1  # the root's
+                assert hungarian_count == 0
 
-    def test_pinned_decision_agrees_with_hungarian(self, monkeypatch):
+    def test_masks_never_offer_a_pinned_vertex(self):
+        # a pinned B-vertex carries a loop of weight at least 1 and an
+        # unpinned A-vertex none, which no sub-eps entry matches on 0/1 input
+        offered = checked = 0
+        for name, a, b in _pairs_for_equivalence():
+            pins = []  # the pinned B-vertices, by level
+            for e in solver.search(a, b, SolverOptions(unique_early_exit=False)):
+                if isinstance(e, solver.SearchEvent) and e.i is not None and e.accepted:
+                    pins[e.i :] = [e.j]
+                    offered += int(e.mask[e.i + 1 :, pins].sum())
+                    checked += 1
+        assert checked > 0 and offered == 0
+
+    def test_accepted_event_cost_bounds_round_cost(self, monkeypatch):
+        # an accepted pin's event and round carry the accepted assignment's
+        # cost: the optimum of its cost matrix when unique, else a bound of it
         eps = 1e-6
-        hungarian_runs = []
+        decided = []
+        decide = solver._decide
 
-        def counted_solve_lap(c, eps=None):
-            hungarian_runs.append(1)
-            return solve_lap(c, eps)
+        def recorded(c, eps):
+            out = decide(c, eps)
+            decided.append((c, out[1]))
+            return out
 
-        monkeypatch.setattr(solver, "solve_lap", counted_solve_lap)
-        rng = np.random.default_rng(17)
-        seen = {"matching": 0, "expensive_matching": 0, "no_matching": 0}
-        for t in range(1000):
-            n = 3 + t % 6
-            kind = ("several", "near_eps", "hall", "empty_line")[t % 4]
-            c = rng.uniform(eps, 5 * eps, size=(n, n))
-            rows, perm = np.arange(n), rng.permutation(n)
-            if kind == "several":
-                c[rows, perm] = rng.uniform(0.0, eps / n, size=n)
-                extra = rng.random((n, n)) < rng.uniform(0.1, 0.6)
-                c[extra] = rng.uniform(0.0, eps, size=int(extra.sum()))
-            elif kind == "near_eps":  # many matchings, some summing past eps
-                extra = rng.random((n, n)) < 0.6
-                c[extra] = rng.uniform(0.3 * eps, eps, size=int(extra.sum()))
-                c[rows, perm] = rng.uniform(0.3 * eps, eps, size=n)
-                if t % 8 < 4:  # a planted cheap matching
-                    c[rows, rng.permutation(n)] = rng.uniform(0.0, eps / (2 * n), size=n)
-            elif kind == "hall":  # rows 0 and 1 see only column 0, no line empty
-                c[2:, :] = np.where(rng.random((n - 2, n)) < 0.5, 0.5 * eps, c[2:, :])
-                c[2:, rng.permutation(n)[:1]] = 0.1 * eps
-                c[2 + rows[: n - 2], perm[: n - 2]] = 0.2 * eps
-                c[:2] = 3 * eps
-                c[:2, 0] = 0.1 * eps
-            else:
-                c[rows, perm] = rng.uniform(0.0, eps / n, size=n)
-                c[rng.integers(n)] = 2 * eps
-            hungarian_runs.clear()
-            cost, lap, mask, unsolved = solver._decide_pinned(c, eps)
-            ran = len(hungarian_runs)
-            ref = solve_lap(c, eps)
-            assert np.array_equal(mask, c < eps)
-            assert (cost < eps) == (ref.cost < eps), (kind, t)
-            if cost >= eps or unsolved is None:  # decided as _decide decides
-                want_cost, want_lap, _ = solver._decide(c, eps)
-                assert cost == want_cost and (lap is None) == (want_lap is None), (kind, t)
-                if lap is not None:
-                    assert list(lap.assignment.map) == list(want_lap.assignment.map)
-                    assert lap.unique == want_lap.unique, (kind, t)
-            if cost < eps:
-                assert ref.cost <= cost and lap.unique == ref.unique, (kind, t)
-                assert mask[rows, lap.assignment.map].all(), (kind, t)
-                if lap.unique:
-                    assert cost == ref.cost and unsolved is None, (kind, t)
-                    assert list(lap.assignment.map) == list(ref.assignment.map)
-                else:
-                    assert unsolved is None or unsolved is c, (kind, t)
-                if unsolved is not None:
-                    seen["matching"] += 1
-                    assert ran == 0, (kind, t)
-            if ran and mask.any(axis=0).all() and mask.any(axis=1).all():
-                seen["no_matching" if ref.cost >= eps else "expensive_matching"] += 1
-        assert min(seen.values()) > 20, seen
-
-    def test_accepted_event_cost_bounds_round_cost(self):
-        # an accepted event may carry a matching's cost; its round, the optimum
+        monkeypatch.setattr(solver, "_decide", recorded)
         strict = 0
         for name, a, b in _pairs_for_equivalence():
+            decided.clear()
             *events, report = solver.search(a, b, SolverOptions(unique_early_exit=False))
-            last = {e.i: e for e in events[1:] if e.accepted}  # level -> its last pin
+            with_mask = [e for e in events if e.mask is not None]
+            assert len(with_mask) == len(decided), name
+            last = {}  # level -> its last accepted event
+            for e, (c, lap) in zip(with_mask, decided):
+                if e.i is None or not e.accepted:
+                    continue
+                optimum = solve_lap(c).cost
+                assert optimum <= e.cost < eps, name
+                if lap.unique:
+                    assert e.cost == optimum, name
+                strict += optimum < e.cost
+                last[e.i] = e
             for r in report.rounds:
-                e = last[r.i]
-                assert e.j == r.j and r.cost <= e.cost < 1e-6, name
-                strict += r.cost < e.cost
+                assert (last[r.i].j, last[r.i].cost) == (r.j, r.cost), name
         assert strict > 0
 
 
@@ -527,6 +571,19 @@ class TestIsIsomorphicAccepts:
         assert report.rounds == []
         assert report.decompositions == 2
         assert report.lap_solves == 1
+
+    def test_near_eps_eigenvalue_gap_grouped_alike_on_both_sides(self):
+        # reweighting edge (0, 1) of cycle(6) opens gaps of about eps inside
+        # its eigenvalue pairs; with each spectrum grouped on its own, 175 of
+        # these relabelings came back not_isomorphic with a certificate
+        adj = cycle(6).adj.copy()
+        adj[0, 1] = adj[1, 0] = 1 + 1.5000006247101183e-06
+        g = Graph(adj)
+        for seed in range(300):
+            b = apply_permutation(g, random_permutation(6, seed))
+            report = is_isomorphic(g, b)
+            assert report.outcome == ISOMORPHIC, seed
+            assert is_exact_isomorphism(g, b, report.permutation), seed
 
     def test_equivariance_sample(self):
         for n, seed in [(8, 0), (12, 1), (16, 2), (20, 3)]:
@@ -610,14 +667,6 @@ class TestOptions:
         assert [r.i for r in report.rounds] == list(range(6))
         assert is_exact_isomorphism(g, b, report.permutation)
 
-    def test_skip_assigned_off_same_answer_more_work(self):
-        g = cycle(6)
-        b = rotated(g)
-        on = is_isomorphic(g, b)
-        off = is_isomorphic(g, b, SolverOptions(skip_assigned=False))
-        assert on.outcome == off.outcome == ISOMORPHIC
-        assert off.decompositions >= on.decompositions
-
     def test_loose_eps_still_sound_on_isomorphic_pair(self):
         g = paley(13)
         b = apply_permutation(g, random_permutation(13, 6))
@@ -662,16 +711,13 @@ class TestCounters:
             (paley(13), apply_permutation(paley(13), random_permutation(13, 1))),
             (random_gnp(10, 4), apply_permutation(random_gnp(10, 4), random_permutation(10, 5))),
         ]
-        for skip in (True, False):
-            for g, b in cases:
-                n = g.n
-                report = is_isomorphic(g, b, SolverOptions(skip_assigned=skip))
-                assert report.outcome == ISOMORPHIC
-                assert report.backtrack_steps == 0
-                assert report.decompositions <= 2 * n * n + 2
-                assert report.lap_solves <= n * n
-                if skip:
-                    assert report.lap_solves <= n * (n + 1) // 2 + 1
+        for g, b in cases:
+            n = g.n
+            report = is_isomorphic(g, b)
+            assert report.outcome == ISOMORPHIC
+            assert report.backtrack_steps == 0
+            assert report.decompositions <= 2 * n * n + 2
+            assert report.lap_solves <= n * (n + 1) // 2 + 1
 
     def test_soundness_asserted_before_return(self):
         # any isomorphic outcome must ship a working permutation

@@ -6,17 +6,15 @@ import pytest
 from eigeniso import (
     Graph,
     apply_permutation,
-    delta_eig,
     eigendecompose,
     group_eigenvalues,
     perturb,
     projection,
     random_permutation,
-    reconstruct,
     spectral_distance,
 )
 from eigeniso.generators import complete, cycle, lattice, paley, path, random_gnp
-from eigeniso.spectral import EigensolverError
+from eigeniso.spectral import EigensolverError, delta_eig, reconstruct
 from helpers import char_poly_spectrum
 
 
