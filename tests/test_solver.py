@@ -453,6 +453,64 @@ class TestMaskGuidedSearch:
                 assert report.decompositions < counts["dec"]
                 assert hungarian_count == 0
 
+    def test_pinned_decision_agrees_with_hungarian(self, monkeypatch):
+        # below the root a pin's cost matrix is decided by solver._decide too:
+        # a sub-eps matching in the mask is taken without the Hungarian
+        eps = 1e-6
+        hungarian_runs = []
+
+        def counted_solve_lap(c, eps=None):
+            hungarian_runs.append(1)
+            return solve_lap(c, eps)
+
+        monkeypatch.setattr(solver, "solve_lap", counted_solve_lap)
+        rng = np.random.default_rng(17)
+        seen = {"matching": 0, "expensive_matching": 0, "no_matching": 0}
+        for t in range(1000):
+            n = 3 + t % 6
+            kind = ("several", "near_eps", "hall", "empty_line")[t % 4]
+            c = rng.uniform(eps, 5 * eps, size=(n, n))
+            rows, perm = np.arange(n), rng.permutation(n)
+            if kind == "several":
+                c[rows, perm] = rng.uniform(0.0, eps / n, size=n)
+                extra = rng.random((n, n)) < rng.uniform(0.1, 0.6)
+                c[extra] = rng.uniform(0.0, eps, size=int(extra.sum()))
+            elif kind == "near_eps":  # many matchings, some summing past eps
+                extra = rng.random((n, n)) < 0.6
+                c[extra] = rng.uniform(0.3 * eps, eps, size=int(extra.sum()))
+                c[rows, perm] = rng.uniform(0.3 * eps, eps, size=n)
+                if t % 8 < 4:  # a planted cheap matching
+                    c[rows, rng.permutation(n)] = rng.uniform(0.0, eps / (2 * n), size=n)
+            elif kind == "hall":  # rows 0 and 1 see only column 0, no line empty
+                c[2:, :] = np.where(rng.random((n - 2, n)) < 0.5, 0.5 * eps, c[2:, :])
+                c[2:, rng.permutation(n)[:1]] = 0.1 * eps
+                c[2 + rows[: n - 2], perm[: n - 2]] = 0.2 * eps
+                c[:2] = 3 * eps
+                c[:2, 0] = 0.1 * eps
+            else:
+                c[rows, perm] = rng.uniform(0.0, eps / n, size=n)
+                c[rng.integers(n)] = 2 * eps
+            hungarian_runs.clear()
+            cost, lap, mask = solver._decide(c, eps)
+            ran = len(hungarian_runs)
+            ref = solve_lap(c, eps)
+            assert np.array_equal(mask, c < eps)
+            assert (cost < eps) == (ref.cost < eps), (kind, t)
+            if cost < eps:
+                assert ref.cost <= cost and lap.unique == ref.unique, (kind, t)
+                assert mask[rows, lap.assignment.map].all(), (kind, t)
+                if lap.unique:
+                    assert cost == ref.cost, (kind, t)
+                    assert list(lap.assignment.map) == list(ref.assignment.map)
+                if mask.sum() > n:  # not a bare permutation mask
+                    seen["matching"] += ran == 0
+            elif lap is not None:  # a permutation mask's or the Hungarian's optimum
+                assert ran == (mask.sum() > n) and cost == ref.cost, (kind, t)
+                assert list(lap.assignment.map) == list(ref.assignment.map)
+            if ran and mask.any(axis=0).all() and mask.any(axis=1).all():
+                seen["no_matching" if ref.cost >= eps else "expensive_matching"] += 1
+        assert min(seen.values()) > 20, seen
+
     def test_masks_never_offer_a_pinned_vertex(self):
         # a pinned B-vertex carries a loop of weight at least 1 and an
         # unpinned A-vertex none, which no sub-eps entry matches on 0/1 input
