@@ -20,7 +20,7 @@ class Graph:
     Parameters
     ----------
     adj : array_like
-        Square symmetric matrix; entry (i, j) is the weight of edge
+        Square, finite, symmetric matrix; entry (i, j) is the weight of edge
         {v_i, v_j}, the diagonal holds self-loop weights.
 
     Instances are immutable: the underlying array is copied and marked
@@ -35,6 +35,8 @@ class Graph:
             raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("graph needs at least one vertex")
+        if not np.isfinite(a).all():
+            raise ValueError("adjacency matrix must be finite")
         if not np.array_equal(a, a.T):
             raise ValueError("adjacency matrix must be exactly symmetric")
         a.setflags(write=False)

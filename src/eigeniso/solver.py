@@ -48,9 +48,9 @@ from .assignment import (
 from .graph import Graph, Permutation, is_exact_isomorphism, perturb
 from .spectral import (
     DEFAULT_EPS,
-    EigenGroup,
     SpectralDecomposition,
     eigendecompose,
+    group_eigenvalues,
     projection,
     spectral_distance,
 )
@@ -64,7 +64,8 @@ INCONCLUSIVE = "inconclusive"
 class SolverOptions:
     """Tunables of the search.
 
-    eps: tolerance below which eigenvalues coincide and costs count as zero.
+    eps: tolerance below which eigenvalues coincide and costs count as zero;
+        positive and finite, else the search raises :class:`ValueError`.
     max_backtrack_steps: deleted assignments allowed before giving up
         (outcome inconclusive, never a wrong answer).
     unique_early_exit: finish as soon as the sub-eps mask pins a unique
@@ -152,15 +153,15 @@ _PAIR_BLOCK = 2**13
 
 
 def _norm_lower_bound(
-    da: SpectralDecomposition, db: SpectralDecomposition
+    da: SpectralDecomposition, db: SpectralDecomposition, starts: list[int]
 ) -> np.ndarray:
     """LB(i, j) = sum_k | |Va_k[i]| - |Vb_k[j]| |, a lower bound of c[i][j].
 
     Sorting keeps norms and row i of P_k = V_k V_k^T has the norm of row i
     of V_k, so each group's term is bounded by the reverse triangle
-    inequality.  No projector is formed; every temporary is n x n.
+    inequality.  No projector is formed; every temporary is n x n.  Groups
+    begin at the columns ``starts``.
     """
-    starts = [g.start for g in da.groups]
     norms_a = np.sqrt(np.add.reduceat(da.vectors**2, starts, axis=1))
     norms_b = np.sqrt(np.add.reduceat(db.vectors**2, starts, axis=1))
     lb = np.zeros((da.n, db.n))
@@ -215,29 +216,6 @@ def _rank_one_costs(
     return out
 
 
-def _shared_groups(
-    da: SpectralDecomposition, db: SpectralDecomposition
-) -> tuple[SpectralDecomposition, SpectralDecomposition]:
-    """Both decompositions grouped at the group starts they share.
-
-    A boundary stays only where both spectra have a gap of at least eps,
-    so both sides use the same column ranges, chosen from the spectra
-    alone.  Decompositions whose groups agree are returned unchanged.
-    """
-    shared = {g.start for g in da.groups} & {g.start for g in db.groups}
-    if len(shared) == len(da.groups) == len(db.groups):
-        return da, db
-    starts = sorted(shared)
-    sizes = np.diff([*starts, da.n]).tolist()
-
-    def regroup(d: SpectralDecomposition) -> SpectralDecomposition:
-        sums = np.add.reduceat(d.values, starts).tolist()
-        groups = tuple(EigenGroup(t / k, s, k) for t, s, k in zip(sums, starts, sizes))
-        return SpectralDecomposition(d.values, d.vectors, groups)
-
-    return regroup(da), regroup(db)
-
-
 def build_cost_matrix(
     da: SpectralDecomposition,
     db: SpectralDecomposition,
@@ -247,8 +225,9 @@ def build_cost_matrix(
 
     For each group the cost of pairing vertex i of A with vertex j of B is
     the sorted-row distance between row i of A's projector and row j of
-    B's.  A group boundary stays only where both ``da`` and ``db`` have
-    one (:func:`_shared_groups`).
+    B's.  The groups are :func:`group_eigenvalues` of the two spectra at
+    ``eps`` (at ``DEFAULT_EPS`` when ``eps`` is None), the same column
+    ranges on both sides.
 
     Without ``eps`` every entry is exact.  With ``eps``, an entry is
     computed exactly only where a cheap lower bound leaves it below
@@ -257,29 +236,30 @@ def build_cost_matrix(
     every decision taken on it, are the same either way; an entry of at
     least ``eps`` may be a lower bound of the exact cost.
     """
-    da, db = _shared_groups(da, db)
+    starts = group_eigenvalues(da.values, db.values, DEFAULT_EPS if eps is None else eps)
     n = da.n
     if eps is None:
         c = np.empty((n, n))
         ii, jj = np.indices((n, n)).reshape(2, -1)
     else:
-        c = _norm_lower_bound(da, db)
+        c = _norm_lower_bound(da, db, starts)
         # The factor 2 is a rounding margin between the bound and the
         # exact cost, so no entry below eps is left at its bound.
         ii, jj = np.nonzero(c < 2 * eps)
     exact = np.zeros(ii.shape[0])
-    single = [g.start for g in da.groups if g.length == 1]
+    spans = list(zip(starts, [*starts[1:], n]))
+    single = [start for start, stop in spans if stop - start == 1]
     if single:
         exact += _rank_one_costs(da.vectors[:, single], db.vectors[:, single], ii, jj)
-    multi = [k for k, g in enumerate(da.groups) if g.length > 1]
+    multi = [(start, stop) for start, stop in spans if stop - start > 1]
     if multi:
         # Larger groups: sort only the rows some candidate pair uses.
         rows_a, at_a = np.unique(ii, return_inverse=True)
         rows_b, at_b = np.unique(jj, return_inverse=True)
         block = max(1, _PAIR_BLOCK // n)
-        for k in multi:
-            sorted_a = np.sort(projection(da, k)[rows_a], axis=1)
-            sorted_b = np.sort(projection(db, k)[rows_b], axis=1)
+        for start, stop in multi:
+            sorted_a = np.sort(projection(da, start, stop)[rows_a], axis=1)
+            sorted_b = np.sort(projection(db, start, stop)[rows_b], axis=1)
             # Distances computed directly: the Gram expansion cancels near
             # zero, where eps decides.
             for s in range(0, ii.shape[0], block):
@@ -341,9 +321,11 @@ def _evaluate(
 
     Returns (e, lap, sub-eps mask) as :func:`_decide` does, or (spectral
     distance, None, None) when the spectra differ by more than ``eps``.
+    An ``eps`` that is not positive and finite reaches
+    :func:`build_cost_matrix`, whose grouping rejects it.
     """
     dist = spectral_distance(da, db)
-    if dist > eps:
+    if dist > eps > 0:
         return dist, None, None
     return _decide(build_cost_matrix(da, db, eps), eps)
 
@@ -362,7 +344,7 @@ def find_permutation(
     """
     if a.n != b.n:
         raise ValueError("size mismatch")
-    e, lap, _ = _evaluate(eigendecompose(a, eps), eigendecompose(b, eps), eps)
+    e, lap, _ = _evaluate(eigendecompose(a), eigendecompose(b), eps)
     return e, lap
 
 
@@ -436,9 +418,9 @@ def search(
         row = mask[level].copy()
         row[[f.pin.j for f in stack]] = False
         candidates = np.flatnonzero(row).tolist()
-        return _Frame(a_pinned, eigendecompose(a_pinned, eps), b_prev, candidates)
+        return _Frame(a_pinned, eigendecompose(a_pinned), b_prev, candidates)
 
-    root_cost, lap, mask = _evaluate(eigendecompose(a, eps), eigendecompose(b, eps), eps)
+    root_cost, lap, mask = _evaluate(eigendecompose(a), eigendecompose(b), eps)
     decompositions = 2
     lap_solves += mask is not None
     yield SearchEvent(None, None, root_cost, mask, root_cost <= eps)
@@ -466,7 +448,7 @@ def search(
             j = top.candidates[top.k]
             top.k += 1
             b_pinned = perturb(top.b, j, level + 1.0)
-            e, lap, mask = _evaluate(top.da, eigendecompose(b_pinned, eps), eps)
+            e, lap, mask = _evaluate(top.da, eigendecompose(b_pinned), eps)
             decompositions += 1
             lap_solves += mask is not None
             yield SearchEvent(level, j, e, mask, e < eps)

@@ -1,4 +1,4 @@
-"""Symmetric eigendecomposition, eigenvalue grouping, and eigenspace projectors.
+"""Symmetric eigendecomposition, shared eigenvalue groups, eigenspace projectors.
 
 Two tolerances matter here and are easy to conflate:
 
@@ -12,7 +12,6 @@ Two tolerances matter here and are easy to conflate:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,36 +24,20 @@ class EigensolverError(RuntimeError):
     """The eigensolver failed to converge; results would be meaningless."""
 
 
-class EigenGroup(NamedTuple):
-    """A cluster of numerically equal eigenvalues.
-
-    ``value`` is the mean of the members, ``start``/``length`` the column
-    range into the eigenvector matrix; ``length`` is the multiplicity.
-    """
-
-    value: float
-    start: int
-    length: int
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Full eigendecomposition of a symmetric matrix plus eigenvalue grouping.
+    """Full eigendecomposition of a symmetric matrix, without grouping.
 
     ``values`` ascend; column k of ``vectors`` is the unit eigenvector of
-    ``values[k]``; ``groups`` partitions the columns into eigenspaces.
+    ``values[k]``.  Groups belong to a pair (:func:`group_eigenvalues`).
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    groups: tuple[EigenGroup, ...]
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(g.length for g in self.groups)
 
 
 def delta_eig(m) -> float:
@@ -63,27 +46,26 @@ def delta_eig(m) -> float:
     return 1e-10 * a.shape[0] * float(np.abs(a).max())
 
 
-def group_eigenvalues(values, eps: float = DEFAULT_EPS) -> tuple[EigenGroup, ...]:
-    """Cluster ascending eigenvalues into groups by single linkage.
+def group_eigenvalues(wa, wb, eps: float) -> list[int]:
+    """Start columns of the eigenvalue groups shared by two ascending spectra.
 
-    Consecutive values with a gap below ``eps`` land in the same group, so
-    chains of sub-eps gaps merge even when the total spread exceeds ``eps``.
+    A group ends only where both spectra have a gap of at least ``eps``, so
+    the partition depends on the two spectra alone and each side is cut
+    alike.  Within one spectrum this is single linkage: chains of sub-eps
+    gaps merge even when the total spread exceeds ``eps``.  Grouping a
+    spectrum with itself gives its own single-linkage groups.
     """
-    w = np.asarray(values, dtype=float)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if w.ndim != 1 or w.shape[0] < 1:
-        raise ValueError("values must be a nonempty 1-d array")
-    cuts = (np.flatnonzero(np.diff(w) >= eps) + 1).tolist()
-    starts, ends = [0, *cuts], [*cuts, w.shape[0]]
-    sums = np.add.reduceat(w, starts).tolist()
-    return tuple(
-        EigenGroup(t / (e - s), s, e - s) for t, s, e in zip(sums, starts, ends)
-    )
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    wa, wb = np.asarray(wa, dtype=float), np.asarray(wb, dtype=float)
+    if wa.ndim != 1 or wa.shape[0] < 1 or wa.shape != wb.shape:
+        raise ValueError("spectra must be nonempty 1-d arrays of one length")
+    cuts = (np.diff(wa) >= eps) & (np.diff(wb) >= eps)
+    return [0, *(np.flatnonzero(cuts) + 1).tolist()]
 
 
-def eigendecompose(g: Graph, eps: float = DEFAULT_EPS) -> SpectralDecomposition:
-    """Eigendecompose a graph's adjacency matrix and group its eigenvalues.
+def eigendecompose(g: Graph) -> SpectralDecomposition:
+    """Eigendecompose a graph's adjacency matrix.
 
     Uses the dense symmetric solver; its convergence failure is raised as
     :class:`EigensolverError`, never returned as garbage.
@@ -92,17 +74,17 @@ def eigendecompose(g: Graph, eps: float = DEFAULT_EPS) -> SpectralDecomposition:
         w, v = np.linalg.eigh(g.adj)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
-    return SpectralDecomposition(w, v, group_eigenvalues(w, eps))
+    return SpectralDecomposition(w, v)
 
 
-def projection(d: SpectralDecomposition, k: int) -> np.ndarray:
-    """Orthogonal projector onto the eigenspace of group ``k``.
+def projection(d: SpectralDecomposition, start: int, stop: int) -> np.ndarray:
+    """Orthogonal projector onto the span of columns ``start:stop``.
 
-    Basis-rotation invariant: any orthonormal basis of the eigenspace gives
-    the same matrix up to the eigensolver budget.  Explicitly symmetrized.
+    For a group of :func:`group_eigenvalues` that is its eigenspace.  Basis
+    rotation invariant: any orthonormal basis of the eigenspace gives the
+    same matrix up to the eigensolver budget.  Explicitly symmetrized.
     """
-    grp = d.groups[k]
-    vk = d.vectors[:, grp.start : grp.start + grp.length]
+    vk = d.vectors[:, start:stop]
     e = vk @ vk.T
     return (e + e.T) * 0.5
 
@@ -115,8 +97,9 @@ def spectral_distance(da: SpectralDecomposition, db: SpectralDecomposition) -> f
 
 
 def reconstruct(d: SpectralDecomposition) -> np.ndarray:
-    """Rebuild the source matrix as the projector-weighted sum over groups."""
+    """Rebuild the source matrix: group projectors times their mean eigenvalue."""
+    starts = group_eigenvalues(d.values, d.values, DEFAULT_EPS)
     out = np.zeros((d.n, d.n))
-    for k, grp in enumerate(d.groups):
-        out += grp.value * projection(d, k)
+    for start, stop in zip(starts, [*starts[1:], d.n]):
+        out += d.values[start:stop].mean() * projection(d, start, stop)
     return out

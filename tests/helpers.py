@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
-from eigeniso import Graph
+from eigeniso import DEFAULT_EPS, Graph, group_eigenvalues
 
 
 def all_graphs(n: int) -> list[Graph]:
@@ -20,6 +21,25 @@ def all_graphs(n: int) -> list[Graph]:
                 adj[u, v] = adj[v, u] = 1.0
         graphs.append(Graph(adj))
     return graphs
+
+
+class Group(NamedTuple):
+    """Columns start:stop of a decomposition; value is their eigenvalues' mean."""
+
+    value: float
+    start: int
+    stop: int
+
+    @property
+    def length(self) -> int:
+        return self.stop - self.start
+
+
+def eigen_groups(d, eps: float = DEFAULT_EPS) -> list[Group]:
+    """The eigenvalue groups of one decomposition, grouped with itself."""
+    starts = group_eigenvalues(d.values, d.values, eps)
+    stops = [*starts[1:], d.n]
+    return [Group(float(d.values[s:e].mean()), s, e) for s, e in zip(starts, stops)]
 
 
 def lap_brute_force(c: np.ndarray) -> float:

@@ -33,7 +33,7 @@ from eigeniso.cli import main as cli_main
 from eigeniso.cli import run_bench
 from eigeniso.generators import cycle, lattice, paley, random_gnp, triangular
 from eigeniso.spectral import delta_eig, reconstruct
-from helpers import all_graphs
+from helpers import all_graphs, eigen_groups
 
 
 def _verdict(num: int, desc: str, ok: bool) -> bool:
@@ -179,8 +179,8 @@ def test_07_spectral_invariant_suite():
         tol = 10.0 * delta_eig(g.adj)
         d = eigendecompose(g)
         total = np.zeros((12, 12))
-        for k, grp in enumerate(d.groups):
-            e = projection(d, k)
+        for k, grp in enumerate(eigen_groups(d)):
+            e = projection(d, grp.start, grp.stop)
             total += e
             if np.max(np.abs(e @ e - e)) > tol:
                 bad.append((seed, k, "idempotence"))

@@ -144,6 +144,19 @@ class TestEpsEnvVar:
         monkeypatch.setenv(EPS_ENV_VAR, "not-a-number")
         assert main(["check", fa, fb, "--eps", "1e-6"]) == 0
 
+    def test_non_finite_eps_is_error(self, tmp_path, capsys, monkeypatch):
+        # a nan eps once answered "not isomorphic" for a graph against itself
+        fa, _ = _rotated_cycle_pair(tmp_path)
+        for flag in ("nan", "inf"):
+            assert main(["check", fa, fa, "--eps", flag]) == 3
+            assert "positive and finite" in capsys.readouterr().err
+        out = str(tmp_path / "masks")
+        assert main(["dump-cost", fa, fa, "--eps", "nan", "-o", out]) == 3
+        assert "positive and finite" in capsys.readouterr().err
+        monkeypatch.setenv(EPS_ENV_VAR, "nan")
+        assert main(["check", fa, fa]) == 3
+        assert "positive and finite" in capsys.readouterr().err
+
 
 class TestBench:
     def _json(self, capsys):

@@ -37,6 +37,14 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(np.zeros((0, 0)))
 
+    def test_rejects_non_finite_weights(self):
+        # an infinite weight once made a graph not isomorphic to itself, and
+        # a nan one was reported as asymmetric
+        for bad in (np.inf, -np.inf, np.nan):
+            for adj in ([[0, bad], [bad, 0]], [[bad, 1], [1, 0]]):
+                with pytest.raises(ValueError, match="must be finite"):
+                    Graph(adj)
+
     def test_adjacency_is_read_only(self):
         g = cycle(4)
         with pytest.raises(ValueError):

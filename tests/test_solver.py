@@ -39,7 +39,7 @@ from eigeniso.generators import (
 from eigeniso.assignment import perfect_matching
 from eigeniso.solver import _evaluate, sorted_row_distance
 from eigeniso.spectral import SpectralDecomposition
-from helpers import lap_brute_force
+from helpers import eigen_groups, lap_brute_force
 
 
 def rotated(g, shift=1, n=None):
@@ -56,7 +56,8 @@ class TestSortedRowDistance:
 
     def test_cycle_top_projector_rows(self):
         d = eigendecompose(cycle(6))
-        e = projection(d, len(d.groups) - 1)
+        top = eigen_groups(d)[-1]
+        e = projection(d, top.start, top.stop)
         assert sorted_row_distance(e[0], e[3]) < 1e-14
 
     def test_length_mismatch(self):
@@ -87,18 +88,11 @@ class TestBuildCostMatrix:
         # eigenvalues agree within eps overall, yet single-linkage chaining
         # merges one side into a single group: the pair must not fail the
         # check, as both sides share that group and get a cost
-        da = SpectralDecomposition(
-            np.array([0.0, 0.5e-6, 1.0e-6]),
-            np.eye(3),
-            group_eigenvalues([0.0, 0.5e-6, 1.0e-6]),
-        )
-        db = SpectralDecomposition(
-            np.array([0.0, 0.0, 1.0e-6]), np.eye(3), group_eigenvalues([0.0, 0.0, 1.0e-6])
-        )
-        assert da.multiplicities() == (3,)
-        assert db.multiplicities() == (2, 1)
-        shared_a, shared_b = solver._shared_groups(da, db)
-        assert shared_a.multiplicities() == shared_b.multiplicities() == (3,)
+        da = SpectralDecomposition(np.array([0.0, 0.5e-6, 1.0e-6]), np.eye(3))
+        db = SpectralDecomposition(np.array([0.0, 0.0, 1.0e-6]), np.eye(3))
+        assert tuple(g.length for g in eigen_groups(da)) == (3,)
+        assert tuple(g.length for g in eigen_groups(db)) == (2, 1)
+        assert group_eigenvalues(da.values, db.values, 1e-6) == [0]  # one group of 3
         assert np.array_equal(build_cost_matrix(da, db), np.zeros((3, 3)))
         e, lap, mask = _evaluate(da, db, 1e-6)
         assert e == 0.0 and lap is not None and mask.all()
@@ -106,14 +100,17 @@ class TestBuildCostMatrix:
     def test_partition_cut_only_where_both_spectra_have_a_gap(self):
         # A cuts after 1 and 3, B after 2 and 3: only the cut after 3 is shared
         va, vb = [0.0, 1.0, 1.0, 2.0, 2.0], [0.0, 0.0, 1.0, 2.0, 2.0]
-        da = SpectralDecomposition(np.array(va), np.eye(5), group_eigenvalues(va))
-        db = SpectralDecomposition(np.array(vb), np.eye(5), group_eigenvalues(vb))
-        shared_a, shared_b = solver._shared_groups(da, db)
-        for d, values in ((shared_a, va), (shared_b, vb)):
-            assert [(g.start, g.length) for g in d.groups] == [(0, 3), (3, 2)]
-            assert [g.value for g in d.groups] == [sum(values[:3]) / 3, 2.0]
-        same_a, same_b = solver._shared_groups(da, da)
-        assert same_a is da and same_b is da
+        da = SpectralDecomposition(np.array(va), np.eye(5))
+        db = SpectralDecomposition(np.array(vb), np.eye(5))
+        assert [(g.start, g.length) for g in eigen_groups(da)] == [(0, 1), (1, 2), (3, 2)]
+        assert [(g.start, g.length) for g in eigen_groups(db)] == [(0, 2), (2, 1), (3, 2)]
+        assert group_eigenvalues(va, vb, 1e-6) == group_eigenvalues(vb, va, 1e-6) == [0, 3]
+        # With unit eigenvectors a sorted projector row is e_4 inside its
+        # group and zero outside, so groups 0:3 and 3:5 give costs 0 or 2.
+        side = np.arange(5) < 3
+        want = 2.0 * (side[:, None] != side[None, :])
+        assert np.array_equal(build_cost_matrix(da, db), want)
+        assert np.array_equal(build_cost_matrix(da, db, 1e-6), want)
 
 
 def _pairs_for_equivalence():
@@ -143,7 +140,7 @@ class TestFilteredCostMatrix:
                     pa = perturb(pa, level, level + 1.0)
                     pb = perturb(pb, (j + level) % b.n, level + 1.0)
                 da, db = eigendecompose(pa), eigendecompose(pb)
-                if da.multiplicities() != db.multiplicities():
+                if [g.length for g in eigen_groups(da)] != [g.length for g in eigen_groups(db)]:
                     continue
                 ref = build_cost_matrix(da, db)
                 fil = build_cost_matrix(da, db, self.EPS)
@@ -157,10 +154,11 @@ class TestFilteredCostMatrix:
             pairs.append((perturb(g, 3, 1.0), perturb(rotated(g, 2), 0, 1.0)))
         for g, h in pairs:
             da, db = eigendecompose(g), eigendecompose(h)
-            assert da.multiplicities() == db.multiplicities()
+            groups = eigen_groups(da)
+            assert [grp.length for grp in groups] == [grp.length for grp in eigen_groups(db)]
             want = np.zeros((g.n, g.n))
-            for k in range(len(da.groups)):
-                pa, pb = projection(da, k), projection(db, k)
+            for grp in groups:
+                pa, pb = projection(da, grp.start, grp.stop), projection(db, grp.start, grp.stop)
                 for i in range(g.n):
                     for j in range(g.n):
                         want[i, j] += sorted_row_distance(pa[i], pb[j])
@@ -700,6 +698,17 @@ class TestInputContract:
             is_isomorphic(g, h)
         with pytest.raises(ValueError, match="self-loops"):
             is_isomorphic(complete(4), h)
+
+    def test_eps_must_be_positive_and_finite(self):
+        # a nan eps once rejected a graph against itself by exhaustion, and
+        # an infinite one ran a relabeling into the backtrack cap
+        g = paley(13)
+        for b in (g, apply_permutation(g, random_permutation(13, 1))):
+            for eps in (np.nan, np.inf, 0.0, -1e-6):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    is_isomorphic(g, b, SolverOptions(eps=eps, max_backtrack_steps=100))
+                with pytest.raises(ValueError, match="positive and finite"):
+                    find_permutation(g, b, eps)
 
 
 class TestInconclusive:

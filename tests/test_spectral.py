@@ -15,28 +15,30 @@ from eigeniso import (
 )
 from eigeniso.generators import complete, cycle, lattice, paley, path, random_gnp
 from eigeniso.spectral import EigensolverError, delta_eig, reconstruct
-from helpers import char_poly_spectrum
+from helpers import char_poly_spectrum, eigen_groups
 
 
 class TestEigendecompose:
     def test_cycle6_spectrum_and_multiplicities(self):
         d = eigendecompose(cycle(6))
         assert np.allclose(d.values, [-2, -1, -1, 1, 1, 2], atol=1e-9)
-        assert d.multiplicities() == (1, 2, 2, 1)
-        assert [round(g.value) for g in d.groups] == [-2, -1, 1, 2]
+        groups = eigen_groups(d)
+        assert tuple(g.length for g in groups) == (1, 2, 2, 1)
+        assert [round(g.value) for g in groups] == [-2, -1, 1, 2]
 
     def test_paley17_spectrum(self):
         d = eigendecompose(paley(17))
         s = np.sqrt(17.0)
-        assert d.multiplicities() == (8, 8, 1)
-        assert abs(d.groups[0].value - (-1 - s) / 2) < 1e-9
-        assert abs(d.groups[1].value - (-1 + s) / 2) < 1e-9
-        assert abs(d.groups[2].value - 8.0) < 1e-9
+        groups = eigen_groups(d)
+        assert tuple(g.length for g in groups) == (8, 8, 1)
+        assert abs(groups[0].value - (-1 - s) / 2) < 1e-9
+        assert abs(groups[1].value - (-1 + s) / 2) < 1e-9
+        assert abs(groups[2].value - 8.0) < 1e-9
 
     def test_zero_matrix(self):
         d = eigendecompose(Graph(np.zeros((3, 3))))
         assert np.array_equal(d.values, [0, 0, 0])
-        assert d.multiplicities() == (3,)
+        assert tuple(g.length for g in eigen_groups(d)) == (3,)
         assert np.allclose(d.vectors @ d.vectors.T, np.eye(3), atol=1e-15)
 
     def test_residual_and_orthonormality_within_budget(self):
@@ -48,7 +50,7 @@ class TestEigendecompose:
             assert np.max(np.abs(d.vectors.T @ d.vectors - np.eye(14))) <= tol
             assert np.all(np.diff(d.values) >= 0)
             # groups partition the columns in order
-            spans = [(grp.start, grp.start + grp.length) for grp in d.groups]
+            spans = [(grp.start, grp.stop) for grp in eigen_groups(d)]
             assert spans[0][0] == 0 and spans[-1][1] == 14
             assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
@@ -61,7 +63,7 @@ class TestEigendecompose:
     def test_connected_top_group_is_simple_and_positive(self):
         for g in (cycle(9), paley(13), lattice(3), path(6)):
             d = eigendecompose(g)
-            top = d.groups[-1]
+            top = eigen_groups(d)[-1]
             assert top.length == 1
             v = d.vectors[:, -1]
             v = v if v[np.argmax(np.abs(v))] > 0 else -v
@@ -69,89 +71,89 @@ class TestEigendecompose:
 
 
 class TestGroupEigenvalues:
+    @staticmethod
+    def lengths(w, eps=1e-6):
+        w = np.array(w)
+        return tuple(np.diff([*group_eigenvalues(w, w, eps), w.shape[0]]).tolist())
+
     def test_cycle_multiplicities(self):
-        groups = group_eigenvalues(np.array([-2.0, -1, -1, 1, 1, 2]), 1e-6)
-        assert tuple(g.length for g in groups) == (1, 2, 2, 1)
+        assert self.lengths([-2.0, -1, -1, 1, 1, 2]) == (1, 2, 2, 1)
 
     def test_sub_eps_gap_merges(self):
-        groups = group_eigenvalues(np.array([1.0, 1.0 + 1e-9, 5.0]), 1e-6)
-        assert tuple(g.length for g in groups) == (2, 1)
+        assert self.lengths([1.0, 1.0 + 1e-9, 5.0]) == (2, 1)
 
     def test_single_linkage_chains(self):
-        groups = group_eigenvalues(np.array([0.0, 0.5e-6, 1.0e-6]), 1e-6)
-        assert tuple(g.length for g in groups) == (3,)
-
-    def test_group_value_is_member_mean(self):
-        groups = group_eigenvalues(np.array([1.0, 1.0 + 4e-7, 9.0]), 1e-6)
-        assert abs(groups[0].value - (1.0 + 2e-7)) < 1e-12
+        assert self.lengths([0.0, 0.5e-6, 1.0e-6]) == (3,)
 
     def test_rejects_bad_eps(self):
+        for eps in (0.0, -1e-6, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                group_eigenvalues([1.0, 2.0], [1.0, 2.0], eps)
+
+    def test_rejects_spectra_of_different_lengths(self):
         with pytest.raises(ValueError):
-            group_eigenvalues(np.array([1.0, 2.0]), 0.0)
+            group_eigenvalues([1.0, 2.0], [1.0, 2.0, 3.0], 1e-6)
 
     def test_matches_loop_reference(self):
-        def loop_groups(w, eps):
-            groups, start = [], 0
-            for k in range(1, w.shape[0] + 1):
-                if k == w.shape[0] or w[k] - w[k - 1] >= eps:
-                    groups.append((w[start:k].mean(), start, k - start))
-                    start = k
-            return groups
+        def loop_starts(w, eps):
+            return {0} | {k for k in range(1, w.shape[0]) if w[k] - w[k - 1] >= eps}
 
         rng = np.random.default_rng(4)
         eps = 1e-6
+        choices = [0.0, 0.3e-6, 0.99e-6, 1e-6, 2e-6, 1.0]
         for trial in range(300):
             # gaps drawn around eps, so chains of sub-eps gaps occur; without
             # an offset some gaps come out exactly eps
-            gaps = rng.choice([0.0, 0.3e-6, 0.99e-6, 1e-6, 2e-6, 1.0], size=rng.integers(1, 40))
-            w = np.cumsum(gaps) + (rng.normal() if trial % 2 else 0.0)
-            got = group_eigenvalues(w, eps)
-            want = loop_groups(w, eps)
-            assert [(g.start, g.length) for g in got] == [(s, k) for _, s, k in want]
-            tol = 8 * np.finfo(float).eps * np.abs(w).max()
-            assert all(abs(g.value - m) <= tol for g, (m, _, _) in zip(got, want))
+            size = rng.integers(1, 40)
+            offset = rng.normal() if trial % 2 else 0.0
+            wa = np.cumsum(rng.choice(choices, size=size)) + offset
+            wb = np.cumsum(rng.choice(choices, size=size)) + offset
+            assert group_eigenvalues(wa, wa, eps) == sorted(loop_starts(wa, eps))
+            # a pair is cut where both spectra alone are cut
+            want = loop_starts(wa, eps) & loop_starts(wb, eps)
+            assert group_eigenvalues(wa, wb, eps) == sorted(want)
 
 
 class TestProjection:
     def test_rank_one_projector(self):
         g = path(4)
         d = eigendecompose(g)
-        k = len(d.groups) - 1
-        v = d.vectors[:, d.groups[k].start]
-        e = projection(d, k)
+        top = eigen_groups(d)[-1]
+        v = d.vectors[:, top.start]
+        e = projection(d, top.start, top.stop)
         assert np.allclose(e, np.outer(v, v), atol=1e-14)
         assert abs(np.trace(e) - 1.0) < 1e-12
 
     def test_completeness(self):
         g = cycle(6)
         d = eigendecompose(g)
-        total = sum(projection(d, k) for k in range(len(d.groups)))
+        total = sum(projection(d, grp.start, grp.stop) for grp in eigen_groups(d))
         assert np.max(np.abs(total - np.eye(6))) <= 10 * delta_eig(g)
 
     def test_cycle6_top_projector_is_constant(self):
         # the top eigenvector of the 6-cycle is all-ones normalized
         d = eigendecompose(cycle(6))
-        e = projection(d, len(d.groups) - 1)
+        top = eigen_groups(d)[-1]
+        e = projection(d, top.start, top.stop)
         assert np.allclose(e, np.full((6, 6), 1 / 6), atol=1e-12)
 
     def test_invariants_idempotent_symmetric_trace(self):
         for g in (cycle(6), paley(13), random_gnp(10, 5), perturb(cycle(6), 0, 1.0)):
             d = eigendecompose(g)
             tol = 10 * delta_eig(g)
-            for k, grp in enumerate(d.groups):
-                e = projection(d, k)
+            for grp in eigen_groups(d):
+                e = projection(d, grp.start, grp.stop)
                 assert np.array_equal(e, e.T)
                 assert np.max(np.abs(e @ e - e)) <= tol
                 assert abs(np.trace(e) - grp.length) <= tol
 
     def test_basis_rotation_invariance(self):
         d = eigendecompose(cycle(6))
-        k = 1  # a multiplicity-2 group
-        grp = d.groups[k]
-        vk = d.vectors[:, grp.start : grp.start + grp.length]
+        grp = eigen_groups(d)[1]  # a multiplicity-2 group
+        vk = d.vectors[:, grp.start : grp.stop]
         q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(grp.length, grp.length)))
         rotated = (vk @ q) @ (vk @ q).T
-        assert np.max(np.abs(rotated - projection(d, k))) <= 1e-12
+        assert np.max(np.abs(rotated - projection(d, grp.start, grp.stop))) <= 1e-12
 
     def test_permutation_equivariance(self):
         g = cycle(6)
@@ -162,8 +164,9 @@ class TestProjection:
         for i in range(6):
             pm[i, p[i]] = 1.0
         tol = 10 * delta_eig(g)
-        for k in range(len(da.groups)):
-            assert np.max(np.abs(projection(db, k) - pm.T @ projection(da, k) @ pm)) <= tol
+        for grp in eigen_groups(da):
+            pa, pb = projection(da, grp.start, grp.stop), projection(db, grp.start, grp.stop)
+            assert np.max(np.abs(pb - pm.T @ pa @ pm)) <= tol
 
 
 class TestSpectralDistance:
