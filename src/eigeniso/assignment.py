@@ -96,8 +96,8 @@ def solve_lap(c: np.ndarray, eps: float | None = None) -> LapSolution:
 
 def count_zero_structure(c: np.ndarray, eps: float) -> np.ndarray:
     """Boolean mask of assignable entries: mask[i][j] = (c[i][j] < eps)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     return np.asarray(c) < eps
 
 

@@ -94,7 +94,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--max-backtrack",
-        type=int,
+        type=_non_negative,
         default=10**6,
         metavar="N",
         help="backtrack steps before giving up as inconclusive",

@@ -107,13 +107,14 @@ class SolveReport:
 
     root_cost is the root's spectral distance when that exceeds eps (inf
     when the sizes differ), else its assignment cost.  A cost of at least
-    eps is a lower bound of the exact optimum, which still certifies the
-    rejection: entries that cannot fall below eps are bounds (see
-    :func:`build_cost_matrix`), and an empty row or column of the sub-eps
-    mask gives a row- or column-minimum sum.  A cost below eps, at the root
-    as in every round, is the accepted sub-eps assignment's: the optimum
-    when that assignment is unique, else an upper bound of it.  lap_solves
-    counts the cost matrices decided, however :func:`_decide` decided them.
+    eps is a lower bound of the exact optimum up to rounding, possibly far
+    below it, which still certifies the rejection: filtered entries hold
+    partial sums of a row-norm bound (see :func:`build_cost_matrix`), and
+    an empty row or column of the sub-eps mask gives a row- or
+    column-minimum sum.  A cost below eps, at the root as in every round,
+    is the accepted sub-eps assignment's: the optimum when that assignment
+    is unique, else an upper bound of it.  lap_solves counts the cost
+    matrices decided, however :func:`_decide` decided them.
     """
 
     outcome: str
@@ -147,28 +148,35 @@ def sorted_row_distance(u_a: np.ndarray, u_b: np.ndarray) -> float:
     return float(np.linalg.norm(np.sort(u_a) - np.sort(u_b)))
 
 
-# Candidate pairs are processed in blocks so that no temporary of the exact
-# costs exceeds this many entries (64 KB).
+# Candidate pairs are processed in blocks so that no temporary of the bound
+# or the exact costs exceeds this many entries (64 KB).
 _PAIR_BLOCK = 2**13
 
 
 def _norm_lower_bound(
-    da: SpectralDecomposition, db: SpectralDecomposition, starts: list[int]
+    da: SpectralDecomposition, db: SpectralDecomposition, starts: list[int], eps: float
 ) -> np.ndarray:
     """LB(i, j) = sum_k | |Va_k[i]| - |Vb_k[j]| |, a lower bound of c[i][j].
 
     Sorting keeps norms and row i of P_k = V_k V_k^T has the norm of row i
     of V_k, so each group's term is bounded by the reverse triangle
-    inequality.  No projector is formed; every temporary is n x n.  Groups
-    begin at the columns ``starts``.
+    inequality.  Groups begin at the columns ``starts``.  Stage 1 fills the
+    n x n matrix with group 0's term; stage 2 sums every term, in group
+    order, only for the pairs still below ``2 * eps``.  Terms are
+    nonnegative, so a pair that stage 1 puts at ``2 * eps`` or above keeps
+    that partial sum, a weaker bound; every entry below ``2 * eps`` is the
+    full sum.
     """
     norms_a = np.sqrt(np.add.reduceat(da.vectors**2, starts, axis=1))
     norms_b = np.sqrt(np.add.reduceat(db.vectors**2, starts, axis=1))
-    lb = np.zeros((da.n, db.n))
-    gap = np.empty_like(lb)
-    for k in range(len(starts)):
-        np.subtract.outer(norms_a[:, k], norms_b[:, k], out=gap)
-        lb += np.abs(gap, out=gap)
+    lb = np.abs(np.subtract.outer(norms_a[:, 0], norms_b[:, 0]))
+    ii, jj = np.nonzero(lb < 2 * eps)
+    block = max(1, _PAIR_BLOCK // len(starts))
+    for s in range(0, ii.shape[0], block):
+        i, j = ii[s : s + block], jj[s : s + block]
+        gap = norms_a[i] - norms_b[j]
+        # in group order, as one n x n pass per group adds (sum pairs terms up)
+        lb[i, j] = np.add.accumulate(np.abs(gap, out=gap), axis=1)[:, -1]
     return lb
 
 
@@ -230,11 +238,13 @@ def build_cost_matrix(
     ranges on both sides.
 
     Without ``eps`` every entry is exact.  With ``eps``, an entry is
-    computed exactly only where a cheap lower bound leaves it below
-    ``2 * eps``; every other entry holds that bound, which is at least
-    ``eps``.  Entries below ``eps``, and with them the sub-eps mask and
-    every decision taken on it, are the same either way; an entry of at
-    least ``eps`` may be a lower bound of the exact cost.
+    computed exactly only where the row-norm bound of
+    :func:`_norm_lower_bound` leaves it below ``2 * eps``; every other
+    entry holds that bound, a partial sum of at least ``2 * eps``.  Entries
+    below ``eps``, and with them the sub-eps mask and every decision taken
+    on it, are the same either way; an entry of at least ``eps`` may be a
+    lower bound of the exact cost up to rounding (the bound's sum can land
+    a few ulps above it).
     """
     starts = group_eigenvalues(da.values, db.values, DEFAULT_EPS if eps is None else eps)
     n = da.n
@@ -242,7 +252,7 @@ def build_cost_matrix(
         c = np.empty((n, n))
         ii, jj = np.indices((n, n)).reshape(2, -1)
     else:
-        c = _norm_lower_bound(da, db, starts)
+        c = _norm_lower_bound(da, db, starts, eps)
         # The factor 2 is a rounding margin between the bound and the
         # exact cost, so no entry below eps is left at its bound.
         ii, jj = np.nonzero(c < 2 * eps)

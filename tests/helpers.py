@@ -42,6 +42,20 @@ def eigen_groups(d, eps: float = DEFAULT_EPS) -> list[Group]:
     return [Group(float(d.values[s:e].mean()), s, e) for s, e in zip(starts, stops)]
 
 
+def dense_norm_bound(da, db, starts: list[int]) -> np.ndarray:
+    """The row-norm bound of a cost matrix, one dense n x n pass per group.
+
+    LB(i, j) = sum_k | |Va_k[i]| - |Vb_k[j]| |, summed in group order over
+    every pair; the reference for the solver's staged filter.
+    """
+    norms_a = np.sqrt(np.add.reduceat(da.vectors**2, starts, axis=1))
+    norms_b = np.sqrt(np.add.reduceat(db.vectors**2, starts, axis=1))
+    lb = np.zeros((da.n, db.n))
+    for k in range(len(starts)):
+        lb += np.abs(np.subtract.outer(norms_a[:, k], norms_b[:, k]))
+    return lb
+
+
 def lap_brute_force(c: np.ndarray) -> float:
     """Exact LAP optimum by enumerating all permutations (small n only)."""
     n = c.shape[0]

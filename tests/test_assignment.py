@@ -90,6 +90,12 @@ class TestCountZeroStructure:
         with pytest.raises(ValueError):
             count_zero_structure(np.zeros((2, 2)), 0.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_eps(self, eps):
+        # nan would give an all-False mask and inf an all-True one
+        with pytest.raises(ValueError):
+            count_zero_structure(np.zeros((2, 2)), eps)
+
 
 class TestUniqueZeroAssignment:
     def test_permutation_pattern_is_unique(self):

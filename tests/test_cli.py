@@ -125,6 +125,13 @@ class TestCheck:
         ]
         assert main(argv) == 0
 
+    def test_negative_max_backtrack_is_usage_error(self, tmp_path, capsys):
+        fa, fb = _rotated_cycle_pair(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", fa, fb, "--max-backtrack", "-5"])
+        assert exc.value.code == 3
+        assert "must be >= 0" in capsys.readouterr().err
+
 
 class TestEpsEnvVar:
     def test_default_reads_environment(self, monkeypatch):

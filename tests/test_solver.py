@@ -39,7 +39,7 @@ from eigeniso.generators import (
 from eigeniso.assignment import perfect_matching
 from eigeniso.solver import _evaluate, sorted_row_distance
 from eigeniso.spectral import SpectralDecomposition
-from helpers import eigen_groups, lap_brute_force
+from helpers import dense_norm_bound, eigen_groups, lap_brute_force
 
 
 def rotated(g, shift=1, n=None):
@@ -110,7 +110,13 @@ class TestBuildCostMatrix:
         side = np.arange(5) < 3
         want = 2.0 * (side[:, None] != side[None, :])
         assert np.array_equal(build_cost_matrix(da, db), want)
-        assert np.array_equal(build_cost_matrix(da, db, 1e-6), want)
+        # Filtered, a cost-2 entry may keep a partial sum of the row-norm
+        # bound (group 0's term alone is 1, already at least 2 * eps).
+        fil = build_cost_matrix(da, db, 1e-6)
+        assert np.array_equal(fil < 1e-6, want < 1e-6)
+        bound = want > 0
+        assert np.array_equal(fil[~bound], want[~bound])
+        assert np.all((2e-6 <= fil[bound]) & (fil[bound] <= want[bound]))
 
 
 def _pairs_for_equivalence():
@@ -140,12 +146,83 @@ class TestFilteredCostMatrix:
                     pa = perturb(pa, level, level + 1.0)
                     pb = perturb(pb, (j + level) % b.n, level + 1.0)
                 da, db = eigendecompose(pa), eigendecompose(pb)
-                if [g.length for g in eigen_groups(da)] != [g.length for g in eigen_groups(db)]:
-                    continue
                 ref = build_cost_matrix(da, db)
                 fil = build_cost_matrix(da, db, self.EPS)
                 assert np.array_equal(fil < self.EPS, ref < self.EPS), (name, pins, j)
-                assert np.all(fil <= ref), (name, pins, j)
+                if [g.length for g in eigen_groups(da)] == [g.length for g in eigen_groups(db)]:
+                    assert np.all(fil <= ref), (name, pins, j)
+                else:
+                    # sides whose own groups differ: the bound's sum may
+                    # round a few ulps above the exact cost
+                    assert np.all(fil <= ref * (1 + 1e-12)), (name, pins, j)
+
+    def test_bound_exceeds_exact_cost_only_by_rounding(self):
+        # The cospectral pair pinned at A-vertices 0, 1 and B-vertices 0, 1:
+        # the full row-norm sum at entry (0, 4) has been seen 2 ulps above
+        # the exact cost.
+        a, b = cospectral_fixture()
+        pa = perturb(perturb(a, 0, 1.0), 1, 2.0)
+        pb = perturb(perturb(b, 0, 1.0), 1, 2.0)
+        da, db = eigendecompose(pa), eigendecompose(pb)
+        starts = group_eigenvalues(da.values, db.values, self.EPS)
+        ref = build_cost_matrix(da, db)
+        fil = build_cost_matrix(da, db, self.EPS)
+        assert np.array_equal(fil < self.EPS, ref < self.EPS)
+        assert dense_norm_bound(da, db, starts)[0, 4] <= ref[0, 4] * (1 + 1e-12)
+        assert fil[0, 4] <= ref[0, 4] * (1 + 1e-12)
+
+    @staticmethod
+    def _transitive_roots():
+        """Vertex-transitive roots: group 0's norms are constant, so stage 1
+        keeps every pair.  lattice(10) has n^2 * G = 30,000 > _PAIR_BLOCK."""
+        roots = [(g, apply_permutation(g, random_permutation(g.n, 8)))
+                 for g in (paley(13), lattice(4), lattice(10))]
+        return [(f"root of {a.n}", eigendecompose(a), eigendecompose(b)) for a, b in roots]
+
+    def _staged_cases(self):
+        """(name, da, db): pinned pairs, transitive roots, a stage-2 edge."""
+        cases = []
+        for name, a, b in _pairs_for_equivalence():
+            for j in (0, 1, b.n - 1):
+                pa = perturb(perturb(a, 0, 1.0), 1, 2.0)
+                pb = perturb(perturb(b, j, 1.0), (j + 1) % b.n, 2.0)
+                cases.append((f"{name} pins (0,{j}), (1,{(j + 1) % b.n})",
+                              eigendecompose(pa), eigendecompose(pb)))
+        # Group 0's term at (0, 0) is 1 - cos(t) = 1.5e-6, between eps and
+        # 2 * eps, so the pair must reach stage 2; group 1 adds sin(t).
+        t = np.arccos(1 - 1.5e-6)
+        turn = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        values = np.array([0.0, 1.0])
+        cases.append(("rotated basis", SpectralDecomposition(values, np.eye(2)),
+                      SpectralDecomposition(values, turn)))
+        return cases + self._transitive_roots()
+
+    def test_staged_bound_against_dense_reference(self):
+        eps = self.EPS
+        for name, da, db in self._staged_cases():
+            starts = group_eigenvalues(da.values, db.values, eps)
+            dense = dense_norm_bound(da, db, starts)
+            lb = solver._norm_lower_bound(da, db, starts, eps)
+            kept = dense < 2 * eps
+            assert np.array_equal(lb[kept], dense[kept]), name
+            assert np.all((2 * eps <= lb[~kept]) & (lb[~kept] <= dense[~kept])), name
+            # Entries the filter keeps are exact, the others stay bounds.
+            ref = build_cost_matrix(da, db)
+            fil = build_cost_matrix(da, db, eps)
+            assert np.array_equal(fil < eps, ref < eps), name
+            assert np.array_equal(fil[kept], ref[kept]), name
+            assert np.all((2 * eps <= fil[~kept]) & (fil[~kept] <= dense[~kept])), name
+
+    def test_stage_one_keeps_every_pair_of_a_vertex_transitive_root(self):
+        sizes = []
+        for name, da, db in self._transitive_roots():
+            starts = group_eigenvalues(da.values, db.values, self.EPS)
+            norm_a, norm_b = (np.linalg.norm(d.vectors[:, : starts[1]], axis=1) for d in (da, db))
+            assert np.all(np.abs(np.subtract.outer(norm_a, norm_b)) < 2 * self.EPS), name
+            lb = solver._norm_lower_bound(da, db, starts, self.EPS)
+            assert np.array_equal(lb, dense_norm_bound(da, db, starts)), name
+            sizes.append(da.n**2 * len(starts))
+        assert max(sizes) > solver._PAIR_BLOCK  # more than one block of pairs
 
     def test_entries_match_sorted_row_definition(self):
         # the closed form for rank-1 groups against projector rows, sorted
