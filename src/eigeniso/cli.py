@@ -99,18 +99,12 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         metavar="N",
         help="backtrack steps before giving up as inconclusive",
     )
-    p.add_argument(
-        "--no-early-exit",
-        action="store_true",
-        help="disable the unique-assignment early exit",
-    )
 
 
 def _options(args: argparse.Namespace) -> SolverOptions:
     return SolverOptions(
         eps=args.eps if args.eps is not None else _default_eps(),
         max_backtrack_steps=args.max_backtrack,
-        unique_early_exit=not args.no_early_exit,
     )
 
 
@@ -260,9 +254,9 @@ def cmd_dump_cost(args: argparse.Namespace) -> int:
     a = load_graph(args.file_a)
     b = load_graph(args.file_b)
     eps = args.eps if args.eps is not None else _default_eps()
-    # Without the early exit the search pins every vertex it can, so each
-    # round up to R has a mask; a backtrack overwrites that round's file.
-    events = search(a, b, SolverOptions(eps=eps, unique_early_exit=False))
+    # The search that check runs, which ends at the first verified
+    # assignment; a backtrack overwrites that round's file.
+    events = search(a, b, SolverOptions(eps=eps))
     root = next(events)
     if not isinstance(root, SearchEvent) or root.mask is None:
         raise GraphFormatError("graphs differ in size or spectrum; nothing to dump")
@@ -273,6 +267,12 @@ def cmd_dump_cost(args: argparse.Namespace) -> int:
     while written < rounds:
         event = next(events)
         if not isinstance(event, SearchEvent):  # the search ended
+            if event.outcome == ISOMORPHIC:
+                print(
+                    f"search verified a permutation at round {len(event.rounds)}; "
+                    f"wrote {written + 1} mask file pair(s)"
+                )
+                return 0
             print(
                 f"warning: no accepting assignment at round {written + 1}; "
                 f"wrote {written + 1} mask(s)",

@@ -10,16 +10,18 @@ pins level by level: level i puts a self-loop of weight i + 1 on vertex i
 of A and scans B for a partner whose equally pinned graph keeps the cost
 below eps.  Each level is a frame on a stack; an accepted pin pushes the
 next frame, and a level out of candidates pops its frame and the pin above
-it (backtracking).  The accepted B-vertices, in level order, are the
-permutation.  :func:`search` yields one event per evaluated pair and the
-report last; :func:`is_isomorphic` reads the report, ``dump-cost`` the
-events' masks.
+it (backtracking).  Each accepted cost matrix comes with a sub-eps
+assignment, and the search ends at the first one, at the root or at a pin,
+that :func:`is_exact_isomorphism` verifies against the inputs; with every
+vertex pinned, the accepted B-vertices in level order are checked too.
+:func:`search` yields one event per evaluated pair and the report last;
+:func:`is_isomorphic` reads the report, ``dump-cost`` the events' masks.
 
 What exhaustion proves.  Every rejection in the search is a necessary
-condition failing: the pinned spectra differ by more than eps, or the
-sub-eps mask has no perfect matching.  Let pi be an isomorphism extending
-the pins so far.  The pinned graphs are isomorphic through pi, so every
-c[i][pi(i)] is zero up to rounding and lies in the mask; level L's
+condition failing: the pinned spectra differ by more than eps, or no
+assignment costs less than eps.  Let pi be an isomorphism extending the
+pins so far.  The pinned graphs are isomorphic through pi, so every
+c[i][pi(i)] is zero up to rounding and pi costs less than eps; level L's
 candidates, its mask row minus the B-vertices already pinned (images of
 pinned A-vertices), contain pi(L), and the pin (L, pi(L)) passes both
 tests.  By induction an exhausted tree rules out every isomorphism,
@@ -38,13 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import (
-    LapSolution,
-    count_zero_structure,
-    is_unique_zero_assignment,
-    perfect_matching,
-    solve_lap,
-)
+from .assignment import count_zero_structure, perfect_matching, solve_lap
 from .graph import Graph, Permutation, is_exact_isomorphism, perturb
 from .spectral import (
     DEFAULT_EPS,
@@ -67,24 +63,21 @@ class SolverOptions:
     eps: tolerance below which eigenvalues coincide and costs count as zero;
         positive and finite, else the search raises :class:`ValueError`.
     max_backtrack_steps: deleted assignments allowed before giving up
-        (outcome inconclusive, never a wrong answer).
-    unique_early_exit: finish as soon as the sub-eps mask pins a unique
-        assignment that validates exactly; off, the search goes on until
-        every vertex is pinned (``dump-cost`` turns it off to see every
-        round's mask).
+        (outcome inconclusive, never a wrong answer); nonnegative, else
+        the search raises :class:`ValueError`.
     """
 
     eps: float = DEFAULT_EPS
     max_backtrack_steps: int = 10**6
-    unique_early_exit: bool = True
 
 
 @dataclass(frozen=True)
 class RoundRecord:
     """One accepted perturbation round: loop at vertex i of A, j of B.
 
-    cost is the accepted sub-eps assignment's (see :class:`SolveReport`);
-    zero_count is the number of entries in the sub-eps mask.
+    cost is the accepted sub-eps assignment's, an upper bound of the
+    optimum (see :class:`SolveReport`); zero_count is the number of entries
+    in the sub-eps mask.
     """
 
     i: int
@@ -112,9 +105,10 @@ class SolveReport:
     partial sums of a row-norm bound (see :func:`build_cost_matrix`), and
     an empty row or column of the sub-eps mask gives a row- or
     column-minimum sum.  A cost below eps, at the root as in every round,
-    is the accepted sub-eps assignment's: the optimum when that assignment
-    is unique, else an upper bound of it.  lap_solves counts the cost
-    matrices decided, however :func:`_decide` decided them.
+    is the accepted sub-eps assignment's, an upper bound of the optimum.
+    An isomorphic search ends at the first verified assignment, so rounds
+    may stop short of n.  lap_solves counts the cost matrices decided,
+    however :func:`_decide` decided them.
     """
 
     outcome: str
@@ -284,24 +278,22 @@ def _sequential_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1])
 
 
-def _decide(c: np.ndarray, eps: float) -> tuple[float, LapSolution | None, np.ndarray]:
+def _decide(c: np.ndarray, eps: float) -> tuple[float, Permutation | None, np.ndarray]:
     """Decide whether cost matrix ``c`` has an assignment below ``eps``.
 
-    Returns (cost, lap, sub-eps mask).  Each step runs only when the ones
-    before it cannot decide:
+    Returns (cost, assignment, sub-eps mask); the assignment is present
+    exactly when the cost is below ``eps``.  Each step runs only when the
+    ones before it cannot decide:
 
-    * Empty row or column: no assignment below ``eps`` exists.  lap is None
-      and the cost, a lower bound of the optimum and at least ``eps``, sums
-      the row minima if a row is empty (in row order that never rounds
-      above :func:`solve_lap`'s cost), else the column minima.
-    * Permutation mask: the optimum, as any other assignment trades mask
-      entries for entries of at least ``eps``; lap holds it as
-      :func:`solve_lap` would, to the bit.
-    * A perfect matching inside the mask (:func:`perfect_matching`) that
-      costs less than ``eps`` in row order is accepted, with ``unique``
-      from :func:`is_unique_zero_assignment`: it is the optimum when
-      unique, else an upper bound of it.
-    * :func:`solve_lap` decides the rest.
+    * Empty row or column: no assignment below ``eps`` exists.  The cost, a
+      lower bound of the optimum and at least ``eps``, sums the row minima
+      if a row is empty (in row order that never rounds above
+      :func:`solve_lap`'s cost), else the column minima.
+    * Matching: the mask's permutation when every row holds one entry, else
+      a perfect matching inside the mask (:func:`perfect_matching`), is
+      accepted when it costs less than ``eps`` in row order, an upper bound
+      of the optimum.
+    * :func:`solve_lap` decides the rest, with the optimum as the cost.
     """
     mask = count_zero_structure(c, eps)
     rows, cols = mask.sum(axis=1), mask.sum(axis=0)
@@ -309,27 +301,22 @@ def _decide(c: np.ndarray, eps: float) -> tuple[float, LapSolution | None, np.nd
         return _sequential_sum(c.min(axis=1)), None, mask
     if cols.min() == 0:
         return _sequential_sum(c.min(axis=0)), None, mask
-    index = np.arange(c.shape[0])
-    if rows.max() == 1:  # n entries, no empty column: a permutation
-        perm = mask.argmax(axis=1)
-        cost = _sequential_sum(c[index, perm])
-        return cost, LapSolution(Permutation(perm), cost, cost < eps), mask
-    match = perfect_matching(mask)
+    # n entries and no empty column make a permutation
+    match = mask.argmax(axis=1) if rows.max() == 1 else perfect_matching(mask)
     if match is not None:
-        cost = _sequential_sum(c[index, match])
+        cost = _sequential_sum(c[np.arange(c.shape[0]), match])
         if cost < eps:
-            unique = is_unique_zero_assignment(mask)
-            return cost, LapSolution(Permutation(match), cost, unique), mask
-    lap = solve_lap(c, eps)
-    return lap.cost, lap, mask
+            return cost, Permutation(match), mask
+    lap = solve_lap(c)
+    return lap.cost, lap.assignment if lap.cost < eps else None, mask
 
 
 def _evaluate(
     da: SpectralDecomposition, db: SpectralDecomposition, eps: float
-) -> tuple[float, LapSolution | None, np.ndarray | None]:
+) -> tuple[float, Permutation | None, np.ndarray | None]:
     """Spectral check, then cost matrix and assignment decision.
 
-    Returns (e, lap, sub-eps mask) as :func:`_decide` does, or (spectral
+    Returns (e, assignment, sub-eps mask) as :func:`_decide` does, or (spectral
     distance, None, None) when the spectra differ by more than ``eps``.
     An ``eps`` that is not positive and finite reaches
     :func:`build_cost_matrix`, whose grouping rejects it.
@@ -342,20 +329,21 @@ def _evaluate(
 
 def find_permutation(
     a: Graph, b: Graph, eps: float = DEFAULT_EPS
-) -> tuple[float, LapSolution | None]:
+) -> tuple[float, Permutation | None]:
     """Single feasibility check for a graph pair.
 
     Returns the eigenvalue distance if it exceeds ``eps`` (quick reject,
-    LAP solution None), else the assignment cost and LAP solution as
+    assignment None), else the assignment cost and the assignment as
     :func:`_decide` gives them.  A cost below ``eps`` passes the pair
-    without certifying an isomorphism; it is the optimum when the solution
-    is ``unique``, else an upper bound of it.  A cost of at least ``eps``
-    is a lower bound of the optimum (see :class:`SolveReport`).
+    without certifying an isomorphism; it is the accepted assignment's, an
+    upper bound of the optimum, and the assignment is not verified.  A cost
+    of at least ``eps`` comes with no assignment and is the optimum or a
+    lower bound of it (see :class:`SolveReport`).
     """
     if a.n != b.n:
         raise ValueError("size mismatch")
-    e, lap, _ = _evaluate(eigendecompose(a), eigendecompose(b), eps)
-    return e, lap
+    e, perm, _ = _evaluate(eigendecompose(a), eigendecompose(b), eps)
+    return e, perm
 
 
 class SearchEvent(NamedTuple):
@@ -364,7 +352,9 @@ class SearchEvent(NamedTuple):
     The root, where nothing is pinned, has i = j = None.  cost and mask are
     those of :func:`_evaluate` (mask None when no cost matrix was built);
     accepted means the pair passed: a cost below eps, or at the root, not
-    above it.  An accepted pin's cost is also its :class:`RoundRecord`'s.
+    above it.  A cost below eps is the accepted assignment's, an upper
+    bound of the optimum; an accepted pin's cost is also its
+    :class:`RoundRecord`'s.
     """
 
     i: int | None
@@ -404,6 +394,10 @@ def search(
     that are not pinned yet (see the module docstring).
     """
     eps = opts.eps
+    if opts.max_backtrack_steps < 0:
+        raise ValueError(
+            f"max_backtrack_steps must be >= 0, got {opts.max_backtrack_steps}"
+        )
     if a.n != b.n:
         yield SolveReport(NOT_ISOMORPHIC, None, root_cost=float("inf"), reason="size")
         return
@@ -430,18 +424,17 @@ def search(
         candidates = np.flatnonzero(row).tolist()
         return _Frame(a_pinned, eigendecompose(a_pinned), b_prev, candidates)
 
-    root_cost, lap, mask = _evaluate(eigendecompose(a), eigendecompose(b), eps)
+    root_cost, perm, mask = _evaluate(eigendecompose(a), eigendecompose(b), eps)
     decompositions = 2
     lap_solves += mask is not None
     yield SearchEvent(None, None, root_cost, mask, root_cost <= eps)
     if root_cost > eps:
         yield report(NOT_ISOMORPHIC, reason="spectrum" if mask is None else "assignment")
         return
-    if opts.unique_early_exit and lap is not None and lap.unique:
-        if is_exact_isomorphism(a, b, lap.assignment):
-            yield report(ISOMORPHIC, lap.assignment)
-            return
-        # The mask lied; fall through to the perturbation search.
+    # A root cost of exactly eps is accepted with no assignment.
+    if perm is not None and is_exact_isomorphism(a, b, perm):
+        yield report(ISOMORPHIC, perm)
+        return
 
     stack.append(frame(0, a, b, mask))
     decompositions += 1
@@ -458,22 +451,23 @@ def search(
             j = top.candidates[top.k]
             top.k += 1
             b_pinned = perturb(top.b, j, level + 1.0)
-            e, lap, mask = _evaluate(top.da, eigendecompose(b_pinned), eps)
+            e, perm, mask = _evaluate(top.da, eigendecompose(b_pinned), eps)
             decompositions += 1
             lap_solves += mask is not None
             yield SearchEvent(level, j, e, mask, e < eps)
             if e >= eps:
                 continue
             top.pin = RoundRecord(level, j, e, int(mask.sum()))
-            if opts.unique_early_exit and lap.unique:
-                if is_exact_isomorphism(a, b, lap.assignment):
-                    yield report(ISOMORPHIC, lap.assignment)
-                    return
+            if is_exact_isomorphism(a, b, perm):
+                yield report(ISOMORPHIC, perm)
+                return
             if level + 1 < n:
                 stack.append(frame(level + 1, top.a, b_pinned, mask))
                 decompositions += 1
                 continue
-            # Every vertex is pinned: the accepted B-vertices are the witness.
+            # Every vertex is pinned.  On 0/1 input the mask is then the pins'
+            # own map, but with weights and a spectral radius above 1/(2 eps)
+            # the diagonal bound does not force that, so it is checked too.
             witness = Permutation([f.pin.j for f in stack])
             if is_exact_isomorphism(a, b, witness):
                 yield report(ISOMORPHIC, witness)

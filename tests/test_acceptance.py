@@ -223,15 +223,14 @@ def test_09_complexity_budgets_on_no_backtracking_runs():
     for g in cases:
         n = g.n
         h = apply_permutation(g, random_permutation(n, 77))
-        for early in (True, False):
-            rep = is_isomorphic(g, h, SolverOptions(unique_early_exit=early))
-            if rep.outcome != ISOMORPHIC or rep.backtrack_steps != 0:
-                violations.append((n, early, "backtracked"))
-                continue
-            if rep.decompositions > 2 * n * n + 2:
-                violations.append((n, early, "dec", rep.decompositions))
-            if rep.lap_solves > n * (n + 1) // 2 + 1:
-                violations.append((n, early, "lap", rep.lap_solves))
+        rep = is_isomorphic(g, h)
+        if rep.outcome != ISOMORPHIC or rep.backtrack_steps != 0:
+            violations.append((n, "backtracked"))
+            continue
+        if rep.decompositions > 2 * n * n + 2:
+            violations.append((n, "dec", rep.decompositions))
+        if rep.lap_solves > n * (n + 1) // 2 + 1:
+            violations.append((n, "lap", rep.lap_solves))
     ok = not violations
     assert _verdict(
         9, "decomposition and LAP counts stay inside the stated budgets", ok

@@ -9,7 +9,6 @@ import pytest
 from eigeniso import (
     DEFAULT_EPS,
     Permutation,
-    SolverOptions,
     apply_permutation,
     cospectral_fixture,
     is_exact_isomorphism,
@@ -33,6 +32,13 @@ def _write(tmp_path, name, g):
 def _rotated_cycle_pair(tmp_path, n=6):
     g = cycle(n)
     h = apply_permutation(g, Permutation([(i + 1) % n for i in range(n)]))
+    return _write(tmp_path, "a.col", g), _write(tmp_path, "b.col", h)
+
+
+def _relabelled_cycle_pair(tmp_path):
+    # the search verifies an assignment at round 2, not at the root
+    g = cycle(6)
+    h = apply_permutation(g, random_permutation(6, 42))
     return _write(tmp_path, "a.col", g), _write(tmp_path, "b.col", h)
 
 
@@ -66,7 +72,8 @@ class TestCheck:
         line = next(l for l in out.splitlines() if l.startswith("permutation: "))
         perm = Permutation.from_line(line.removeprefix("permutation: "))
         assert is_exact_isomorphism(load_graph(fa), load_graph(fb), perm)
-        assert "stats:" in out
+        # a rotation is an automorphism of the cycle: verified at the root
+        assert "stats: rounds=0 backtracks=0 decompositions=2 lap_solves=1" in out
 
     def test_perm_out_file(self, tmp_path, capsys):
         fa, fb = _rotated_cycle_pair(tmp_path)
@@ -118,12 +125,15 @@ class TestCheck:
 
     def test_solver_flags_accepted(self, tmp_path):
         fa, fb = _rotated_cycle_pair(tmp_path)
-        argv = [
-            "check", fa, fb,
-            "--no-early-exit",
-            "--max-backtrack", "50", "--eps", "1e-6",
-        ]
+        argv = ["check", fa, fb, "--max-backtrack", "50", "--eps", "1e-6"]
         assert main(argv) == 0
+
+    def test_no_early_exit_flag_is_usage_error(self, tmp_path):
+        fa, fb = _rotated_cycle_pair(tmp_path)
+        for command in ("check", "bench"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, fa, fb, "--no-early-exit"])
+            assert exc.value.code == 3
 
     def test_negative_max_backtrack_is_usage_error(self, tmp_path, capsys):
         fa, fb = _rotated_cycle_pair(tmp_path)
@@ -213,7 +223,7 @@ class TestDumpCost:
         )
 
     def test_cycle_masks(self, tmp_path, capsys):
-        fa, fb = _rotated_cycle_pair(tmp_path)
+        fa, fb = _relabelled_cycle_pair(tmp_path)
         out = str(tmp_path / "masks")
         assert main(["dump-cost", fa, fb, "--rounds", "2", "-o", out]) == 0
         assert "wrote 3 mask file pair(s)" in capsys.readouterr().out
@@ -227,7 +237,7 @@ class TestDumpCost:
         assert counts[0] >= counts[1] >= counts[2] == 6
 
     def test_pgm_matches_csv(self, tmp_path):
-        fa, fb = _rotated_cycle_pair(tmp_path)
+        fa, fb = _relabelled_cycle_pair(tmp_path)
         out = str(tmp_path / "masks")
         assert main(["dump-cost", fa, fb, "--rounds", "1", "-o", out]) == 0
         with open(os.path.join(out, "mask_round1.pgm"), encoding="utf-8") as fh:
@@ -257,13 +267,13 @@ class TestDumpCost:
         assert self._mask(out, 0).sum() == 0
 
     def test_missing_out_dir_is_usage_error(self, tmp_path):
-        fa, fb = _rotated_cycle_pair(tmp_path)
+        fa, fb = _relabelled_cycle_pair(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["dump-cost", fa, fb])
         assert exc.value.code == 3
 
     def test_negative_rounds_is_usage_error(self, tmp_path):
-        fa, fb = _rotated_cycle_pair(tmp_path)
+        fa, fb = _relabelled_cycle_pair(tmp_path)
         out = str(tmp_path / "masks")
         with pytest.raises(SystemExit) as exc:
             main(["dump-cost", fa, fb, "--rounds", "-1", "-o", out])
@@ -293,12 +303,31 @@ class TestDumpCost:
             assert os.path.exists(os.path.join(out, f"mask_round{k}.pgm"))
 
     def test_masks_match_search_rounds(self, tmp_path):
-        fa, fb = _rotated_cycle_pair(tmp_path)
+        fa, fb = _relabelled_cycle_pair(tmp_path)
         out = str(tmp_path / "masks")
         assert main(["dump-cost", fa, fb, "--rounds", "6", "-o", out]) == 0
-        report = is_isomorphic(
-            load_graph(fa), load_graph(fb), SolverOptions(unique_early_exit=False)
-        )
-        assert len(report.rounds) == 6
-        for k in range(1, 7):
+        report = is_isomorphic(load_graph(fa), load_graph(fb))
+        assert len(report.rounds) == 2
+        for k in range(1, 3):
             assert self._mask(out, k).sum() == report.rounds[k - 1].zero_count
+
+    def test_verified_search_ends_the_dump(self, tmp_path, capsys):
+        fa, fb = _relabelled_cycle_pair(tmp_path)
+        out = str(tmp_path / "masks")
+        assert main(["dump-cost", fa, fb, "--rounds", "6", "-o", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "search verified a permutation at round 2; wrote 3 mask file pair(s)\n"
+        )
+        assert captured.err == ""
+        assert sorted(os.listdir(out)) == [
+            f"mask_round{k}.{ext}" for k in range(3) for ext in ("csv", "pgm")
+        ]
+        # a rotation is verified at the root
+        fa, fb = _rotated_cycle_pair(tmp_path)
+        out = str(tmp_path / "root")
+        assert main(["dump-cost", fa, fb, "--rounds", "2", "-o", out]) == 0
+        captured = capsys.readouterr()
+        assert "verified a permutation at round 0; wrote 1 mask" in captured.out
+        assert captured.err == ""
+        assert sorted(os.listdir(out)) == ["mask_round0.csv", "mask_round0.pgm"]
