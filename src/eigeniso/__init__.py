@@ -3,13 +3,12 @@
 The solver certifies isomorphism by constructing an explicit vertex
 permutation: eigenvalue degeneracies are broken by adding self-loops of
 increasing weight, candidate assignments are scored by comparing sorted
-rows of eigenspace projectors, and the cost matrix's sub-eps structure
-(with a linear assignment solve where it cannot) decides feasibility of
-each round.  Non-isomorphism is reported either with a certificate or,
-after exhaustive search, as a heuristic rejection.
+rows of eigenspace projectors, and a perfect matching among the cost
+matrix's sub-eps entries decides feasibility of each round.
+Non-isomorphism is reported either with a certificate or, after
+exhaustive search, as a heuristic rejection.
 """
 
-from .assignment import is_unique_zero_assignment, solve_lap
 from .generators import (
     GeneratorSpec,
     brute_force_isomorphism,
@@ -78,14 +77,12 @@ __all__ = [
     "identity_permutation",
     "is_exact_isomorphism",
     "is_isomorphic",
-    "is_unique_zero_assignment",
     "load_graph",
     "parse_graph",
     "perturb",
     "projection",
     "random_permutation",
     "save_graph",
-    "solve_lap",
     "spectral_distance",
     "srg_fixture",
 ]

@@ -1,9 +1,14 @@
 """Dense linear assignment: Hungarian method plus zero-structure analysis.
 
-The solver is the shortest-augmenting-path formulation of the Hungarian
-method with row/column potentials, O(n^3) overall, exact for the given
-floating-point costs (no approximation step).  Ties between equally cheap
-columns resolve toward the lowest column index, which keeps runs
+The search decides a cost matrix by its sub-eps mask alone
+(:func:`count_zero_structure`, :func:`perfect_matching`).  The Hungarian
+solver :func:`solve_lap` and :func:`is_unique_zero_assignment` are off that
+path; they are the reference optimum and uniqueness check.
+
+:func:`solve_lap` is the shortest-augmenting-path formulation of the
+Hungarian method with row/column potentials, O(n^3) overall, exact for the
+given floating-point costs (no approximation step).  Ties between equally
+cheap columns resolve toward the lowest column index, which keeps runs
 reproducible; on an all-zero matrix the result is the identity.
 """
 
@@ -17,30 +22,17 @@ from .graph import Permutation
 
 
 class LapSolution(NamedTuple):
-    """An assignment, its cost (summed in row order), and uniqueness.
-
-    :func:`solve_lap` returns an optimal one.  ``unique`` is True only when
-    the assignment was verified to be the sole perfect matching among
-    entries below the tolerance; it stays False when no tolerance was given.
-    """
+    """An optimal assignment and its cost, summed in row order."""
 
     assignment: Permutation
     cost: float
-    unique: bool
 
 
-def solve_lap(c: np.ndarray, eps: float | None = None) -> LapSolution:
+def solve_lap(c: np.ndarray) -> LapSolution:
     """Solve the dense linear assignment problem min over P of tr(C^T P).
 
-    Parameters
-    ----------
-    c : ndarray
-        Square nonnegative cost matrix; entry (i, j) is the cost of
-        assigning row object i to column object j.
-    eps : float, optional
-        When given and the optimal cost lands below it, the zero structure
-        of ``c`` at tolerance ``eps`` is additionally checked for having a
-        unique perfect matching (see :func:`is_unique_zero_assignment`).
+    ``c`` is a square nonnegative cost matrix; entry (i, j) is the cost of
+    assigning row object i to column object j.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
@@ -87,11 +79,7 @@ def solve_lap(c: np.ndarray, eps: float | None = None) -> LapSolution:
     cost = 0.0
     for i in range(n):
         cost += c[i, row_to_col[i]]
-
-    unique = False
-    if eps is not None and cost < eps:
-        unique = is_unique_zero_assignment(count_zero_structure(c, eps))
-    return LapSolution(Permutation(row_to_col), float(cost), unique)
+    return LapSolution(Permutation(row_to_col), float(cost))
 
 
 def count_zero_structure(c: np.ndarray, eps: float) -> np.ndarray:

@@ -315,9 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="graph file, or family spec like 'paley 17' / 'lattice(4)'",
     )
     p_bench.add_argument("--trials", type=int, default=100)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_non_negative, default=0)
     p_bench.add_argument(
-        "--gen-seed", type=int, default=0, help="seed for the random_gnp family"
+        "--gen-seed",
+        type=_non_negative,
+        default=0,
+        help="seed for the random_gnp family",
     )
     _add_solver_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
@@ -325,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="write a generated graph as a DIMACS-style file")
     p_gen.add_argument("family", choices=FAMILIES)
     p_gen.add_argument("parameter", type=int)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_non_negative, default=0)
     p_gen.add_argument("-o", "--out", metavar="PATH")
     p_gen.set_defaults(func=cmd_gen)
 

@@ -7,28 +7,30 @@ Both sides of a pair use one partition, cut only where both spectra have a
 gap of at least eps, and one function, :func:`_decide`, decides every cost
 matrix.  Repeated eigenvalues leave the assignment ambiguous, so the search
 pins level by level: level i puts a self-loop of weight i + 1 on vertex i
-of A and scans B for a partner whose equally pinned graph keeps the cost
-below eps.  Each level is a frame on a stack; an accepted pin pushes the
-next frame, and a level out of candidates pops its frame and the pin above
-it (backtracking).  Each accepted cost matrix comes with a sub-eps
-assignment, and the search ends at the first one, at the root or at a pin,
-that :func:`is_exact_isomorphism` verifies against the inputs; with every
-vertex pinned, the accepted B-vertices in level order are checked too.
+of A and scans B for a partner whose equally pinned graph keeps a perfect
+matching in the sub-eps mask.  Each level is a frame on a stack; an
+accepted pin pushes the next frame, and a level out of candidates pops its
+frame and the pin above it (backtracking).  Each accepted cost matrix
+comes with the mask's matching as its assignment, and the search ends at
+the first one, at the root or at a pin, that :func:`is_exact_isomorphism`
+verifies against the inputs; with every vertex pinned, the accepted
+B-vertices in level order are checked too.
 :func:`search` yields one event per evaluated pair and the report last;
 :func:`is_isomorphic` reads the report, ``dump-cost`` the events' masks.
 
 What exhaustion proves.  Every rejection in the search is a necessary
-condition failing: the pinned spectra differ by more than eps, or no
-assignment costs less than eps.  Let pi be an isomorphism extending the
-pins so far.  The pinned graphs are isomorphic through pi, so every
-c[i][pi(i)] is zero up to rounding and pi costs less than eps; level L's
+condition failing: the pinned spectra differ by more than eps, or the
+sub-eps mask has no perfect matching.  Let pi be an isomorphism extending
+the pins so far.  The pinned graphs are isomorphic through pi, so every
+c[i][pi(i)] is zero up to rounding and pi lies in the mask; level L's
 candidates, its mask row minus the B-vertices already pinned (images of
 pinned A-vertices), contain pi(L), and the pin (L, pi(L)) passes both
 tests.  By induction an exhausted tree rules out every isomorphism,
-provided a true isomorphism's costs stay below eps.  That premise is
-numerical: rounding must stay far below eps, and both sides must be
-grouped alike, which the shared partition ensures.  As the premise is not
-checked, exhaustion is reported as reason ``"exhaustion"``, a heuristic.
+provided a true isomorphism's entries c[i][pi(i)] stay below eps.  That
+premise is numerical: rounding must stay far below eps, and both sides
+must be grouped alike, which the shared partition ensures.  As the
+premise is not checked, exhaustion is reported as reason
+``"exhaustion"``, a heuristic.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import count_zero_structure, perfect_matching, solve_lap
+from .assignment import count_zero_structure, perfect_matching
 from .graph import Graph, Permutation, is_exact_isomorphism, perturb
 from .spectral import (
     DEFAULT_EPS,
@@ -75,9 +77,9 @@ class SolverOptions:
 class RoundRecord:
     """One accepted perturbation round: loop at vertex i of A, j of B.
 
-    cost is the accepted sub-eps assignment's, an upper bound of the
-    optimum (see :class:`SolveReport`); zero_count is the number of entries
-    in the sub-eps mask.
+    cost is the row-order sum of the mask's matching that accepted the
+    round, an upper bound of the optimum (see :class:`SolveReport`);
+    zero_count is the number of entries in the sub-eps mask.
     """
 
     i: int
@@ -94,21 +96,22 @@ class SolveReport:
     permutation is present exactly when isomorphic, already validated
     against the inputs.  Otherwise reason says why: ``"size"``,
     ``"spectrum"`` (the spectra differ by more than eps) or
-    ``"assignment"`` (the root has no assignment below eps), each a
-    certificate; ``"exhaustion"`` (heuristic, see the module docstring); or
-    ``"backtrack_cap"`` (inconclusive).
+    ``"assignment"`` (the root's sub-eps mask has no perfect matching),
+    each a certificate; ``"exhaustion"`` (heuristic, see the module
+    docstring); or ``"backtrack_cap"`` (inconclusive).
 
     root_cost is the root's spectral distance when that exceeds eps (inf
-    when the sizes differ), else its assignment cost.  A cost of at least
-    eps is a lower bound of the exact optimum up to rounding, possibly far
-    below it, which still certifies the rejection: filtered entries hold
-    partial sums of a row-norm bound (see :func:`build_cost_matrix`), and
-    an empty row or column of the sub-eps mask gives a row- or
-    column-minimum sum.  A cost below eps, at the root as in every round,
-    is the accepted sub-eps assignment's, an upper bound of the optimum.
-    An isomorphic search ends at the first verified assignment, so rounds
-    may stop short of n.  lap_solves counts the cost matrices decided,
-    however :func:`_decide` decided them.
+    when the sizes differ), else its cost as :func:`_decide` gives it.  A
+    rejected cost is at least eps and a lower bound of the exact optimum up
+    to rounding, possibly far below it, which still certifies the
+    rejection: filtered entries hold partial sums of a row-norm bound (see
+    :func:`build_cost_matrix`), an empty row or column of the sub-eps mask
+    gives a row- or column-minimum sum, and a mask without a perfect
+    matching its least entry outside the mask.  An accepted cost, at the
+    root as in every round, is the row-order sum of the mask's matching,
+    an upper bound of the optimum and below n * eps.  An isomorphic search
+    ends at the first verified assignment, so rounds may stop short of n.
+    lap_solves counts the cost matrices decided.
     """
 
     outcome: str
@@ -274,26 +277,26 @@ def build_cost_matrix(
 
 
 def _sequential_sum(values: np.ndarray) -> float:
-    """Add first to last, as :func:`solve_lap` adds an assignment's entries."""
+    """Add first to last; smaller terms, one by one, never give a larger sum."""
     return float(np.add.accumulate(values)[-1])
 
 
 def _decide(c: np.ndarray, eps: float) -> tuple[float, Permutation | None, np.ndarray]:
-    """Decide whether cost matrix ``c`` has an assignment below ``eps``.
+    """Decide cost matrix ``c`` by its sub-eps mask ``c < eps`` alone.
 
-    Returns (cost, assignment, sub-eps mask); the assignment is present
-    exactly when the cost is below ``eps``.  Each step runs only when the
-    ones before it cannot decide:
+    Returns (cost, assignment, mask); the pair is accepted exactly when the
+    mask holds a perfect matching, which is then the assignment.
 
-    * Empty row or column: no assignment below ``eps`` exists.  The cost, a
-      lower bound of the optimum and at least ``eps``, sums the row minima
-      if a row is empty (in row order that never rounds above
-      :func:`solve_lap`'s cost), else the column minima.
-    * Matching: the mask's permutation when every row holds one entry, else
+    * Empty row or column: rejected.  The cost sums the row minima if a row
+      is empty (in row order, never rounding above any assignment's
+      row-order sum), else the column minima.
+    * Otherwise the mask's permutation when every row holds one entry, else
       a perfect matching inside the mask (:func:`perfect_matching`), is
-      accepted when it costs less than ``eps`` in row order, an upper bound
-      of the optimum.
-    * :func:`solve_lap` decides the rest, with the optimum as the cost.
+      accepted with its row-order sum as the cost: each entry is below
+      ``eps``, the sum below n * eps, and no lower than the optimum.
+    * No perfect matching: rejected with the least entry outside the mask
+      as the cost.  Every assignment uses such an entry, so the cost is at
+      least ``eps`` and at most the optimum.
     """
     mask = count_zero_structure(c, eps)
     rows, cols = mask.sum(axis=1), mask.sum(axis=0)
@@ -303,12 +306,9 @@ def _decide(c: np.ndarray, eps: float) -> tuple[float, Permutation | None, np.nd
         return _sequential_sum(c.min(axis=0)), None, mask
     # n entries and no empty column make a permutation
     match = mask.argmax(axis=1) if rows.max() == 1 else perfect_matching(mask)
-    if match is not None:
-        cost = _sequential_sum(c[np.arange(c.shape[0]), match])
-        if cost < eps:
-            return cost, Permutation(match), mask
-    lap = solve_lap(c)
-    return lap.cost, lap.assignment if lap.cost < eps else None, mask
+    if match is None:
+        return float(c[~mask].min()), None, mask
+    return _sequential_sum(c[np.arange(c.shape[0]), match]), Permutation(match), mask
 
 
 def _evaluate(
@@ -333,12 +333,12 @@ def find_permutation(
     """Single feasibility check for a graph pair.
 
     Returns the eigenvalue distance if it exceeds ``eps`` (quick reject,
-    assignment None), else the assignment cost and the assignment as
-    :func:`_decide` gives them.  A cost below ``eps`` passes the pair
-    without certifying an isomorphism; it is the accepted assignment's, an
-    upper bound of the optimum, and the assignment is not verified.  A cost
-    of at least ``eps`` comes with no assignment and is the optimum or a
-    lower bound of it (see :class:`SolveReport`).
+    assignment None), else the cost and the assignment as :func:`_decide`
+    gives them.  An assignment, the sub-eps mask's perfect matching, passes
+    the pair without certifying an isomorphism and is not verified; its
+    cost is its row-order sum, an upper bound of the optimum.  Without an
+    assignment the cost is at least ``eps``, a lower bound of the optimum
+    (see :class:`SolveReport`).
     """
     if a.n != b.n:
         raise ValueError("size mismatch")
@@ -351,10 +351,9 @@ class SearchEvent(NamedTuple):
 
     The root, where nothing is pinned, has i = j = None.  cost and mask are
     those of :func:`_evaluate` (mask None when no cost matrix was built);
-    accepted means the pair passed: a cost below eps, or at the root, not
-    above it.  A cost below eps is the accepted assignment's, an upper
-    bound of the optimum; an accepted pin's cost is also its
-    :class:`RoundRecord`'s.
+    accepted means the pair passed: the mask holds a perfect matching.  An
+    accepted cost is that matching's row-order sum, an upper bound of the
+    optimum; an accepted pin's cost is also its :class:`RoundRecord`'s.
     """
 
     i: int | None
@@ -427,12 +426,11 @@ def search(
     root_cost, perm, mask = _evaluate(eigendecompose(a), eigendecompose(b), eps)
     decompositions = 2
     lap_solves += mask is not None
-    yield SearchEvent(None, None, root_cost, mask, root_cost <= eps)
-    if root_cost > eps:
+    yield SearchEvent(None, None, root_cost, mask, perm is not None)
+    if perm is None:
         yield report(NOT_ISOMORPHIC, reason="spectrum" if mask is None else "assignment")
         return
-    # A root cost of exactly eps is accepted with no assignment.
-    if perm is not None and is_exact_isomorphism(a, b, perm):
+    if is_exact_isomorphism(a, b, perm):
         yield report(ISOMORPHIC, perm)
         return
 
@@ -454,8 +452,8 @@ def search(
             e, perm, mask = _evaluate(top.da, eigendecompose(b_pinned), eps)
             decompositions += 1
             lap_solves += mask is not None
-            yield SearchEvent(level, j, e, mask, e < eps)
-            if e >= eps:
+            yield SearchEvent(level, j, e, mask, perm is not None)
+            if perm is None:
                 continue
             top.pin = RoundRecord(level, j, e, int(mask.sum()))
             if is_exact_isomorphism(a, b, perm):

@@ -22,13 +22,12 @@ from eigeniso import (
     eigendecompose,
     is_exact_isomorphism,
     is_isomorphic,
-    is_unique_zero_assignment,
     projection,
     random_permutation,
     save_graph,
-    solve_lap,
     spectral_distance,
 )
+from eigeniso.assignment import is_unique_zero_assignment, solve_lap
 from eigeniso.cli import main as cli_main
 from eigeniso.cli import run_bench
 from eigeniso.generators import cycle, lattice, paley, random_gnp, triangular

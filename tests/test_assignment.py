@@ -5,8 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from eigeniso import is_unique_zero_assignment, solve_lap
-from eigeniso.assignment import count_zero_structure, perfect_matching
+from eigeniso.assignment import (
+    count_zero_structure,
+    is_unique_zero_assignment,
+    perfect_matching,
+    solve_lap,
+)
 from helpers import lap_brute_force, perfect_matchings
 
 
@@ -57,10 +61,10 @@ class TestSolveLap:
             perm = np.random.default_rng(seed).permutation(6)
             c = rng.random((6, 6)) + 1.0
             c[np.arange(6), perm] = 0.0
-            sol = solve_lap(c, eps=1e-6)
+            sol = solve_lap(c)
             assert sol.cost < 1e-6
             assert list(sol.assignment.map) == list(perm)
-            assert sol.unique
+            assert is_unique_zero_assignment(count_zero_structure(c, 1e-6))
 
     def test_rejects_non_finite_and_non_square(self):
         with pytest.raises(ValueError):
@@ -70,11 +74,6 @@ class TestSolveLap:
         with pytest.raises(ValueError):
             solve_lap(np.ones((2, 3)))
 
-    def test_unique_flag_requires_eps(self):
-        assert not solve_lap(np.zeros((3, 3))).unique
-        assert not solve_lap(np.zeros((3, 3)), eps=1e-6).unique  # all-zero: many matchings
-        assert solve_lap(np.eye(3), eps=0.5).unique is False  # zeros off-diagonal: 2 matchings
-        assert solve_lap(1 - np.eye(3), eps=0.5).unique
 
 
 class TestCountZeroStructure:
@@ -141,6 +140,14 @@ class TestUniqueZeroAssignment:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             is_unique_zero_assignment(np.ones((2, 3), dtype=bool))
+
+    def test_masks_of_small_cost_matrices(self):
+        def unique(c, eps):
+            return is_unique_zero_assignment(count_zero_structure(c, eps))
+
+        assert not unique(np.zeros((3, 3)), 1e-6)  # all-zero: many matchings
+        assert not unique(np.eye(3), 0.5)  # zeros off-diagonal: 2 matchings
+        assert unique(1 - np.eye(3), 0.5)
 
 
 class TestPerfectMatching:

@@ -62,6 +62,12 @@ class TestGen:
             main(["gen", "hypercube", "3"])
         assert exc.value.code == 3
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "random_gnp", "5", "--seed", "-1"])
+        assert exc.value.code == 3
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_isomorphic_pair(self, tmp_path, capsys):
@@ -213,6 +219,13 @@ class TestBench:
     def test_zero_trials_is_error(self, capsys):
         assert main(["bench", "cycle", "6", "--trials", "0"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seed", "--gen-seed"])
+    def test_negative_seed_is_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "random_gnp", "6", flag, "-5"])
+        assert exc.value.code == 3
+        assert f"argument {flag}: must be >= 0, got -5" in capsys.readouterr().err
 
 
 class TestDumpCost:

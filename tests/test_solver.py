@@ -21,11 +21,10 @@ from eigeniso import (
     perturb,
     projection,
     random_permutation,
-    solve_lap,
     spectral_distance,
     srg_fixture,
 )
-from eigeniso import solver
+from eigeniso import assignment, solver
 from eigeniso.generators import (
     complete,
     cycle,
@@ -36,7 +35,7 @@ from eigeniso.generators import (
     star,
     triangular,
 )
-from eigeniso.assignment import is_unique_zero_assignment, perfect_matching
+from eigeniso.assignment import is_unique_zero_assignment, solve_lap
 from eigeniso.solver import _evaluate, sorted_row_distance
 from eigeniso.spectral import SpectralDecomposition
 from helpers import dense_norm_bound, eigen_groups, lap_brute_force
@@ -266,8 +265,27 @@ class TestFilteredCostMatrix:
         assert self.EPS < best <= 6.42917749433882
 
 
+@pytest.fixture
+def hungarian_runs(monkeypatch):
+    """Hungarian solves made by the code under test: the solver makes none."""
+    runs = []
+
+    def counted_solve_lap(c):
+        runs.append(1)
+        return solve_lap(c)
+
+    monkeypatch.setattr(solver, "solve_lap", counted_solve_lap, raising=False)
+    monkeypatch.setattr(assignment, "solve_lap", counted_solve_lap)
+    return runs
+
+
+def _has_matching(mask):
+    """Whether a boolean mask holds a perfect matching, by the Hungarian."""
+    return solve_lap((~mask).astype(float)).cost == 0
+
+
 class TestMaskFirstDecision:
-    """solver._decide, which reads the sub-eps mask first, against solve_lap."""
+    """solver._decide, which decides by the sub-eps mask alone, against solve_lap."""
 
     EPS = 1e-6
 
@@ -312,17 +330,15 @@ class TestMaskFirstDecision:
             c[extra] = rng.uniform(0.0, eps, size=int(extra.sum()))
         return c
 
-    def test_agrees_with_hungarian(self, monkeypatch):
+    def test_agrees_with_hungarian(self, hungarian_runs):
+        # accepted exactly when the mask holds a perfect matching, however
+        # much that matching's entries add up to
         eps = self.EPS
-        hungarian_runs = []
-
-        def counted_solve_lap(c, eps=None):
-            hungarian_runs.append(1)
-            return solve_lap(c, eps)
-
-        monkeypatch.setattr(solver, "solve_lap", counted_solve_lap)
         diagonal = np.full((3, 3), 10.0)
         np.fill_diagonal(diagonal, 0.4 * eps)
+        # each entry below eps, their sum not: the identity is still taken
+        cost, perm, _ = solver._decide(diagonal, eps)
+        assert list(perm.map) == [0, 1, 2] and cost == 1.2e-6
         cases = [("permutation_at_or_above_eps", diagonal)]
         rng = np.random.default_rng(11)
         kinds = [
@@ -339,43 +355,42 @@ class TestMaskFirstDecision:
         branches = ["empty_line", "permutation", "matching", "no_matching"]
         seen = dict.fromkeys(branches + ["expensive_permutation", "expensive_matching"], 0)
         for kind, c in cases:
-            hungarian_runs.clear()
             cost, perm, mask = solver._decide(c, eps)
             ref = solve_lap(c)
-            rows = np.arange(c.shape[0])
+            n = c.shape[0]
+            rows = np.arange(n)
             assert np.array_equal(mask, c < eps)
-            assert (cost < eps) == (ref.cost < eps), kind
-            assert (perm is not None) == (cost < eps), kind
+            assert (perm is not None) == _has_matching(mask), kind
             lines_full = mask.any(axis=0).all() and mask.any(axis=1).all()
-            shape = "permutation" if mask.sum() == c.shape[0] else "matching"
-            match = perfect_matching(mask) if lines_full else None
+            shape = "permutation" if mask.sum() == n else "matching"
             if not lines_full:
                 branch = "empty_line"
-            elif match is None:
+            elif perm is None:
                 branch = "no_matching"
-            elif sum(c[rows, match].tolist()) >= eps:  # in row order
+            elif cost >= eps:
                 branch = "expensive_" + shape
             else:
                 branch = shape
             seen[branch] += 1
-            # the Hungarian runs only where no step before it decides
-            assert bool(hungarian_runs) == (branch not in ("empty_line", shape)), kind
             if branch == "empty_line":  # the cost is a bound
                 if not mask.any(axis=1).all():
                     assert eps <= cost <= ref.cost, kind
                 else:  # a column sum may round a last bit above the optimum
                     assert eps <= cost <= ref.cost * (1 + 1e-15), kind
                 continue
-            if perm is None:  # the Hungarian's optimum
-                assert cost == ref.cost, kind
+            if perm is None:  # every assignment leaves the mask
+                assert cost == c[~mask].min(), kind
+                assert eps <= cost <= ref.cost, kind
                 continue
-            # the accepted sub-eps assignment, the optimum when it is unique
+            # the mask's matching, its cost summed in row order
             assert mask[rows, perm.map].all(), kind
-            assert ref.cost <= cost, kind
-            if is_unique_zero_assignment(mask):
+            assert cost == sum(c[rows, perm.map].tolist()), kind
+            assert ref.cost <= cost < n * eps, kind
+            if cost < eps and is_unique_zero_assignment(mask):
                 assert cost == ref.cost, kind
                 assert list(perm.map) == list(ref.assignment.map), kind
         assert min(seen.values()) > 20, seen
+        assert not hungarian_runs
 
     def test_search_reports_unchanged(self, monkeypatch):
         def summary(report):
@@ -421,44 +436,47 @@ class TestMaskFirstDecision:
             assert is_exact_isomorphism(a, b, want.permutation), name
             for g, w in zip(got_events, want_events):
                 assert fields(g) == fields(w), name
-                if w.cost >= self.EPS:
-                    assert self.EPS <= g.cost <= w.cost, name
+                if w.accepted:
+                    assert w.cost <= g.cost, name
                 else:
-                    assert w.cost <= g.cost < self.EPS, name
+                    assert self.EPS <= g.cost <= w.cost, name
             exits_differ += len(got_events) != len(want_events)
         assert exits_differ > 0
         assert any(want.root_cost >= self.EPS for _, want in reference)
 
 
 def _costs(report):
-    """The root's cost, then the rounds'."""
-    return [report.root_cost] + [r.cost for r in report.rounds]
+    """(cost, accepted) of the root, then of the rounds."""
+    root_accepted = report.reason not in ("size", "spectrum", "assignment")
+    return [(report.root_cost, root_accepted)] + [(r.cost, True) for r in report.rounds]
 
 
 def _assert_costs_by_contract(report, reference, eps, name):
-    """A report's costs against those of a search that runs the Hungarian.
+    """A report's costs against the (optimum, accepted) pairs of a reference.
 
-    A cost of at least eps is the reference's optimum or a lower bound of
-    it; a cost below eps is an accepted sub-eps assignment's, no lower than
-    the optimum.
+    Each pair is accepted or rejected alike in both.  An accepted cost is
+    an assignment's inside the sub-eps mask, no lower than the optimum; a
+    rejected cost is at least eps and no higher than the optimum.
     """
-    for got, want in zip(_costs(report), reference, strict=True):
-        if want >= eps:
-            assert eps <= got <= want, name
+    for (got, accepted), (want, want_accepted) in zip(_costs(report), reference, strict=True):
+        assert accepted == want_accepted, name
+        if accepted:
+            assert want <= got, name
         else:
-            assert want <= got < eps, name
+            assert eps <= got <= want, name
 
 
 def _scan_all_search(a, b, eps=1e-6):
-    """The search without mask-guided lists or matching tests, as a reference.
+    """The search without mask-guided lists, with its own matching test, as a reference.
 
-    Level L tries every B-vertex not yet pinned, and the Hungarian solve
-    decides every pair, so every cost is an optimum or a spectral distance.
-    Each accepted pair verifies the sub-eps assignment that solver._decide
-    proposes, as the search does (the Hungarian's optimum can be another
-    one, which may hold at another pin), and the first that holds ends the
-    search.  Returns the report's fields, its costs (the root's, then the
-    rounds'), and its operation counts.
+    Level L tries every B-vertex not yet pinned.  A pair passes when its
+    sub-eps mask holds a perfect matching, as a Hungarian solve on the
+    mask's complement finds, and every cost is the Hungarian optimum of its
+    cost matrix or a spectral distance.  Each accepted pair verifies the
+    assignment that solver._decide proposes, as the search does, and the
+    first that holds ends the search.  Returns the report's fields, its
+    (cost, accepted) pairs (the root's, then the rounds'), and its
+    operation counts.
     """
     n = a.n
     counts = {"dec": 2, "lap": 0, "bt": 0}
@@ -469,8 +487,10 @@ def _scan_all_search(a, b, eps=1e-6):
     if not spectral:
         c = build_cost_matrix(da, db, eps)
         root_cost = solve_lap(c).cost
-        proposed = solver._decide(c, eps)[1]
         counts["lap"] += 1
+        if _has_matching(c < eps):
+            proposed = solver._decide(c, eps)[1]
+            assert proposed is not None
 
     def result(outcome, perm=None, spectral=False, heuristic=False):
         fields = (
@@ -481,7 +501,8 @@ def _scan_all_search(a, b, eps=1e-6):
             spectral,
             heuristic,
         )
-        return fields, [root_cost] + [cost for _, _, cost, _ in rounds], counts
+        costs = [(root_cost, proposed is not None)]
+        return fields, costs + [(cost, True) for _, _, cost, _ in rounds], counts
 
     def descend(level, a_prev, b_prev):
         a_pinned = perturb(a_prev, level, level + 1.0)
@@ -497,13 +518,12 @@ def _scan_all_search(a, b, eps=1e-6):
                 continue
             c = build_cost_matrix(da, db, eps)
             counts["lap"] += 1
-            lap = solve_lap(c)
-            if lap.cost >= eps:
+            if not _has_matching(c < eps):
                 continue
-            rounds.append((level, j, lap.cost, int((c < eps).sum())))
-            proposed = solver._decide(c, eps)[1]
-            if is_exact_isomorphism(a, b, proposed):
-                return proposed
+            rounds.append((level, j, solve_lap(c).cost, int((c < eps).sum())))
+            perm = solver._decide(c, eps)[1]
+            if is_exact_isomorphism(a, b, perm):
+                return perm
             if level + 1 < n:
                 found = descend(level + 1, a_pinned, b_pinned)
                 if found is not None:
@@ -516,9 +536,9 @@ def _scan_all_search(a, b, eps=1e-6):
             rounds.pop()
         return None
 
-    if root_cost > eps:
+    if proposed is None:
         return result(NOT_ISOMORPHIC, spectral=spectral)
-    if proposed is not None and is_exact_isomorphism(a, b, proposed):
+    if is_exact_isomorphism(a, b, proposed):
         return result(ISOMORPHIC, proposed)
     found = descend(0, a, b)
     if found is None:
@@ -529,18 +549,10 @@ def _scan_all_search(a, b, eps=1e-6):
 class TestMaskGuidedSearch:
     """Mask-guided candidate lists and the matching test below the root."""
 
-    def test_reports_match_scan_all_reference(self, monkeypatch):
-        hungarian_runs = []
-
-        def counted_solve_lap(c, eps=None):
-            hungarian_runs.append(1)
-            return solve_lap(c, eps)
-
-        monkeypatch.setattr(solver, "solve_lap", counted_solve_lap)
+    def test_reports_match_scan_all_reference(self, hungarian_runs):
         for name, a, b in _pairs_for_equivalence():
-            hungarian_runs.clear()
             report = is_isomorphic(a, b)
-            hungarian_count = len(hungarian_runs)
+            assert not hungarian_runs, name
             got = (
                 report.outcome,
                 None if report.permutation is None else list(report.permutation.map),
@@ -557,19 +569,11 @@ class TestMaskGuidedSearch:
             if name == "srg_fixture":
                 assert report.backtrack_steps > 0
                 assert report.decompositions < counts["dec"]
-                assert hungarian_count == 0
 
-    def test_pinned_decision_agrees_with_hungarian(self, monkeypatch):
+    def test_pinned_decision_agrees_with_hungarian(self, hungarian_runs):
         # below the root a pin's cost matrix is decided by solver._decide too:
-        # a sub-eps matching in the mask is taken without the Hungarian
+        # a perfect matching in the mask is taken, whatever it sums to
         eps = 1e-6
-        hungarian_runs = []
-
-        def counted_solve_lap(c, eps=None):
-            hungarian_runs.append(1)
-            return solve_lap(c, eps)
-
-        monkeypatch.setattr(solver, "solve_lap", counted_solve_lap)
         rng = np.random.default_rng(17)
         seen = {"matching": 0, "expensive_matching": 0, "no_matching": 0}
         for t in range(1000):
@@ -596,26 +600,23 @@ class TestMaskGuidedSearch:
             else:
                 c[rows, perm] = rng.uniform(0.0, eps / n, size=n)
                 c[rng.integers(n)] = 2 * eps
-            hungarian_runs.clear()
-            cost, assignment, mask = solver._decide(c, eps)
-            ran = len(hungarian_runs)
+            cost, match, mask = solver._decide(c, eps)
             ref = solve_lap(c)
             assert np.array_equal(mask, c < eps)
-            assert (cost < eps) == (ref.cost < eps), (kind, t)
-            assert (assignment is not None) == (cost < eps), (kind, t)
-            if cost < eps:
-                assert ref.cost <= cost, (kind, t)
-                assert mask[rows, assignment.map].all(), (kind, t)
-                if is_unique_zero_assignment(mask):
+            assert (match is not None) == _has_matching(mask), (kind, t)
+            if match is not None:
+                assert mask[rows, match.map].all(), (kind, t)
+                assert ref.cost <= cost < n * eps, (kind, t)
+                if cost < eps and is_unique_zero_assignment(mask):
                     assert cost == ref.cost, (kind, t)
-                    assert list(assignment.map) == list(ref.assignment.map)
+                    assert list(match.map) == list(ref.assignment.map)
                 if mask.sum() > n:  # not a bare permutation mask
-                    seen["matching"] += ran == 0
-            elif ran:  # the Hungarian's optimum
-                assert cost == ref.cost, (kind, t)
-            if ran and mask.any(axis=0).all() and mask.any(axis=1).all():
-                seen["no_matching" if ref.cost >= eps else "expensive_matching"] += 1
+                    seen["matching" if cost < eps else "expensive_matching"] += 1
+            elif mask.any(axis=0).all() and mask.any(axis=1).all():
+                assert eps <= cost <= ref.cost, (kind, t)
+                seen["no_matching"] += 1
         assert min(seen.values()) > 20, seen
+        assert not hungarian_runs
 
     def test_masks_never_offer_a_pinned_vertex(self):
         # a pinned B-vertex carries a loop of weight at least 1 and an
