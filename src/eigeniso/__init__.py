@@ -22,7 +22,6 @@ from .graph import (
     Permutation,
     apply_permutation,
     format_graph,
-    identity_permutation,
     is_exact_isomorphism,
     load_graph,
     parse_graph,
@@ -37,7 +36,6 @@ from .solver import (
     SolveReport,
     SolverOptions,
     build_cost_matrix,
-    find_permutation,
     is_isomorphic,
 )
 from .spectral import (
@@ -70,11 +68,9 @@ __all__ = [
     "build_cost_matrix",
     "cospectral_fixture",
     "eigendecompose",
-    "find_permutation",
     "format_graph",
     "generate",
     "group_eigenvalues",
-    "identity_permutation",
     "is_exact_isomorphism",
     "is_isomorphic",
     "load_graph",

@@ -136,19 +136,23 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.perm_out:
             with open(args.perm_out, "w", encoding="utf-8") as fh:
                 fh.write(report.permutation.to_line() + "\n")
-        print(
-            f"stats: rounds={len(report.rounds)} "
-            f"backtracks={report.backtrack_steps} "
-            f"decompositions={report.decompositions} "
-            f"lap_solves={report.lap_solves}"
-        )
-        return EXIT_ISOMORPHIC
-    if report.outcome == INCONCLUSIVE:
+        code = EXIT_ISOMORPHIC
+    elif report.outcome == INCONCLUSIVE:
         print("inconclusive: backtrack cap reached")
-        return EXIT_INCONCLUSIVE
-    print("not isomorphic")
-    print(_REJECTION_MESSAGES[report.reason].format(cost=report.root_cost))
-    return EXIT_NOT_ISOMORPHIC
+        code = EXIT_INCONCLUSIVE
+    else:
+        print("not isomorphic")
+        print(_REJECTION_MESSAGES[report.reason].format(cost=report.root_cost))
+        code = EXIT_NOT_ISOMORPHIC
+    print(
+        f"stats: rounds={len(report.rounds)} "
+        f"backtracks={report.backtrack_steps} "
+        f"decompositions={report.decompositions} "
+        f"lap_solves={report.lap_solves} "
+        f"pruned={report.pruned} "
+        f"inner_searches={report.inner_searches}"
+    )
+    return code
 
 
 _SPEC_RE = re.compile(r"^([a-z_]+)\s*\(?\s*(\d+)\s*\)?$")
@@ -280,8 +284,8 @@ def cmd_dump_cost(args: argparse.Namespace) -> int:
             )
             break
         if event.accepted:
-            _write_mask(event.mask, args.out, event.i + 1)
-            written = max(written, event.i + 1)
+            _write_mask(event.mask, args.out, event.level + 1)
+            written = max(written, event.level + 1)
     print(f"wrote {written + 1} mask file pair(s) to {args.out}")
     return 0
 

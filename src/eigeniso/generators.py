@@ -8,7 +8,7 @@ benchmarks built on them) reproduce exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -200,6 +200,45 @@ def srg_fixture() -> tuple[Graph, Graph]:
     perturbation search itself (with backtracking), not from a certificate.
     """
     return lattice(4), shrikhande()
+
+
+def cfi(base_edges, twist: bool = False) -> Graph:
+    """Cai-Fuerer-Immerman graph over a base graph given by its edge list.
+
+    A base vertex of degree d becomes 2^(d-1) middle vertices, one per
+    even-size subset S of its edges, and two ends (e, 0) and (e, 1) per
+    incident edge e; middle vertex S is joined to (e, 1) for e in S and to
+    (e, 0) otherwise.  Base edge e = {u, v} joins u's end (e, b) to v's end
+    (e, b), except that ``twist`` crosses the first base edge, joining
+    (e, b) to (e, 1 - b).  Over a connected base graph the twisted graph is
+    not isomorphic to the untwisted one, though the two are hard to tell
+    apart by refinement or spectra.
+    """
+    edges = [tuple(e) for e in base_edges]
+    if any(u == v for u, v in edges) or len(set(map(frozenset, edges))) < len(edges):
+        raise ValueError("base graph must be simple: no loops or repeated edges")
+    incident: dict[int, list[int]] = {}
+    for k, (u, v) in enumerate(edges):
+        incident.setdefault(u, []).append(k)
+        incident.setdefault(v, []).append(k)
+    end: dict[tuple[int, int, int], int] = {}  # (base vertex, edge, bit) -> vertex
+    links = []
+    n = 0
+    for v, ks in incident.items():
+        for k in ks:
+            end[v, k, 0], end[v, k, 1] = n, n + 1
+            n += 2
+        for bits in product((0, 1), repeat=len(ks)):
+            if sum(bits) % 2 == 0:
+                links += [(n, end[v, k, bit]) for k, bit in zip(ks, bits)]
+                n += 1
+    for k, (u, v) in enumerate(edges):
+        cross = int(twist and k == 0)
+        links += [(end[u, k, bit], end[v, k, bit ^ cross]) for bit in (0, 1)]
+    adj = np.zeros((n, n))
+    for x, y in links:
+        adj[x, y] = adj[y, x] = 1.0
+    return Graph(adj)
 
 
 # ---------------------------------------------------------------------------

@@ -97,10 +97,6 @@ class Permutation:
         return f"Permutation({self.map.tolist()})"
 
 
-def identity_permutation(n: int) -> Permutation:
-    return Permutation(np.arange(n))
-
-
 def random_permutation(n: int, seed: int) -> Permutation:
     """Uniform random permutation of {0..n-1}, reproducible for a fixed seed."""
     if n < 1:

@@ -6,30 +6,41 @@ assignment optimum is (near) zero whenever the graphs are isomorphic.
 Both sides of a pair use one partition, cut only where both spectra have a
 gap of at least eps, and one function, :func:`_decide`, decides every cost
 matrix.  Repeated eigenvalues leave the assignment ambiguous, so the search
-pins level by level: level i puts a self-loop of weight i + 1 on vertex i
-of A and scans B for a partner whose equally pinned graph keeps a perfect
-matching in the sub-eps mask.  Each level is a frame on a stack; an
-accepted pin pushes the next frame, and a level out of candidates pops its
-frame and the pin above it (backtracking).  Each accepted cost matrix
+pins level by level.  Level L takes the free vertex i of A whose row of the
+last accepted mask offers the fewest unpinned B-vertices, at least two (the
+lowest free index when no row offers two), puts a self-loop of weight
+base + L + 1 on it, base being the largest loop weight of the inputs, and
+scans those B-vertices for a partner whose equally pinned graph keeps a
+perfect matching in the sub-eps mask.  Each level is a frame on a stack;
+an accepted pin pushes the next frame, and a level out of candidates pops
+its frame and the pin above it (backtracking).  Each accepted cost matrix
 comes with the mask's matching as its assignment, and the search ends at
-the first one, at the root or at a pin, that :func:`is_exact_isomorphism`
-verifies against the inputs; with every vertex pinned, the accepted
-B-vertices in level order are checked too.
-:func:`search` yields one event per evaluated pair and the report last;
+the first one, at the root or at a pin, that maps the inputs onto each
+other entry for entry (:func:`is_exact_isomorphism` and the diagonals);
+with every vertex pinned, the pins' own map is checked too.
+:func:`search` yields one event per candidate and the report last;
 :func:`is_isomorphic` reads the report, ``dump-cost`` the events' masks.
 
 What exhaustion proves.  Every rejection in the search is a necessary
 condition failing: the pinned spectra differ by more than eps, or the
 sub-eps mask has no perfect matching.  Let pi be an isomorphism extending
 the pins so far.  The pinned graphs are isomorphic through pi, so every
-c[i][pi(i)] is zero up to rounding and pi lies in the mask; level L's
-candidates, its mask row minus the B-vertices already pinned (images of
-pinned A-vertices), contain pi(L), and the pin (L, pi(L)) passes both
-tests.  By induction an exhausted tree rules out every isomorphism,
-provided a true isomorphism's entries c[i][pi(i)] stay below eps.  That
-premise is numerical: rounding must stay far below eps, and both sides
-must be grouped alike, which the shared partition ensures.  As the
-premise is not checked, exhaustion is reported as reason
+c[x][pi(x)] is zero up to rounding and pi lies in the mask; level L's
+candidates, the row of its vertex i minus the B-vertices already pinned
+(images of pinned A-vertices), contain pi(i), and the pin (i, pi(i)) passes
+both tests.  Level L also skips a candidate j when an automorphism sigma of
+B that fixes every pinned B-vertex maps a candidate j0 it has exhausted onto
+j: were pi(i) = j, then sigma^-1 pi would extend the pins with (i, j0),
+which j0's exhaustion ruled out.  Each sigma comes from a search of this
+kind, capped at a few backtracks, between B pinned at j0 and B pinned at j
+with level L's weight, and is kept only once it maps the one onto the other
+entry for entry, diagonal included, fixes the pins and sends j0 to j; the
+group of the kept ones that fix the pins gives the orbits.  The orbit step
+thus adds no numerical premise.  By induction an exhausted tree rules out
+every isomorphism, provided a true isomorphism's entries c[x][pi(x)] stay
+below eps.  That premise is numerical: rounding must stay far below eps,
+and both sides must be grouped alike, which the shared partition ensures.
+As the premise is not checked, exhaustion is reported as reason
 ``"exhaustion"``, a heuristic.
 """
 
@@ -111,7 +122,11 @@ class SolveReport:
     root as in every round, is the row-order sum of the mask's matching,
     an upper bound of the optimum and below n * eps.  An isomorphic search
     ends at the first verified assignment, so rounds may stop short of n.
-    lap_solves counts the cost matrices decided.
+    Rounds are in level order; a round's i is the A-vertex its level pinned.
+    pruned counts the candidates skipped by an automorphism of B (see
+    :class:`SearchEvent`), inner_searches the capped searches run to find
+    those automorphisms, nested ones included.  decompositions and
+    lap_solves, the cost matrices decided, include the inner searches'.
     """
 
     outcome: str
@@ -122,6 +137,8 @@ class SolveReport:
     rounds: list[RoundRecord] = field(default_factory=list)
     root_cost: float = 0.0
     reason: str | None = None
+    pruned: int = 0
+    inner_searches: int = 0
 
     @property
     def spectral_rejection(self) -> bool:  # certified before any cost matrix
@@ -130,19 +147,6 @@ class SolveReport:
     @property
     def heuristic_rejection(self) -> bool:  # exhaustion, not certified
         return self.reason == "exhaustion"
-
-
-def sorted_row_distance(u_a: np.ndarray, u_b: np.ndarray) -> float:
-    """Euclidean distance between ascending-sorted copies of two vectors.
-
-    Zero exactly when one vector is a permutation of the other, which makes
-    it a relabeling-invariant comparison of projector rows.
-    """
-    u_a = np.asarray(u_a, dtype=float)
-    u_b = np.asarray(u_b, dtype=float)
-    if u_a.shape != u_b.shape:
-        raise ValueError("length mismatch")
-    return float(np.linalg.norm(np.sort(u_a) - np.sort(u_b)))
 
 
 # Candidate pairs are processed in blocks so that no temporary of the bound
@@ -327,56 +331,72 @@ def _evaluate(
     return _decide(build_cost_matrix(da, db, eps), eps)
 
 
-def find_permutation(
-    a: Graph, b: Graph, eps: float = DEFAULT_EPS
-) -> tuple[float, Permutation | None]:
-    """Single feasibility check for a graph pair.
-
-    Returns the eigenvalue distance if it exceeds ``eps`` (quick reject,
-    assignment None), else the cost and the assignment as :func:`_decide`
-    gives them.  An assignment, the sub-eps mask's perfect matching, passes
-    the pair without certifying an isomorphism and is not verified; its
-    cost is its row-order sum, an upper bound of the optimum.  Without an
-    assignment the cost is at least ``eps``, a lower bound of the optimum
-    (see :class:`SolveReport`).
-    """
-    if a.n != b.n:
-        raise ValueError("size mismatch")
-    e, perm, _ = _evaluate(eigendecompose(a), eigendecompose(b), eps)
-    return e, perm
-
-
 class SearchEvent(NamedTuple):
-    """One evaluated pair: vertex i of A pinned against vertex j of B.
+    """One candidate pair: vertex i of A pinned against vertex j of B at a level.
 
-    The root, where nothing is pinned, has i = j = None.  cost and mask are
-    those of :func:`_evaluate` (mask None when no cost matrix was built);
-    accepted means the pair passed: the mask holds a perfect matching.  An
-    accepted cost is that matching's row-order sum, an upper bound of the
-    optimum; an accepted pin's cost is also its :class:`RoundRecord`'s.
+    The root, where nothing is pinned, has level = i = j = None.  cost and
+    mask are those of :func:`_evaluate` (mask None when no cost matrix was
+    built); accepted means the pair passed: the mask holds a perfect
+    matching.  An accepted cost is that matching's row-order sum, an upper
+    bound of the optimum; an accepted pin's cost is also its
+    :class:`RoundRecord`'s.  pruned marks a candidate skipped unevaluated,
+    since an automorphism of B that fixes the pins maps an exhausted
+    candidate onto it; its cost is inf and its mask None.
     """
 
+    level: int | None
     i: int | None
     j: int | None
     cost: float
     mask: np.ndarray | None
     accepted: bool
+    pruned: bool = False
+
+
+# Backtracks allowed to a search for an automorphism of B; a symmetric pair
+# of candidates is usually matched without any.
+_AUTOMORPHISM_BACKTRACKS = 3
+
+
+def _holds(a: Graph, b: Graph, p: Permutation) -> bool:
+    """Whether ``p`` maps ``a`` onto ``b`` entry for entry, loops included."""
+    return is_exact_isomorphism(a, b, p) and np.array_equal(
+        np.diag(b.adj)[p.map], np.diag(a.adj)
+    )
+
+
+def _orbit(seeds: list[int], generators: list[np.ndarray], n: int) -> np.ndarray:
+    """Mask of the seeds' orbits under the group the permutations generate."""
+    inside = np.zeros(n, dtype=bool)
+    inside[seeds] = True
+    while True:
+        grown = inside.copy()
+        for g in generators:
+            grown[g[grown]] = True
+        if (grown == inside).all():
+            return inside
+        inside = grown
 
 
 @dataclass
 class _Frame:
     """One level of the search.
 
-    a is A pinned through this level, da its decomposition, b is B before
-    this level's pin; candidates are the B-vertices tried in order, k the
-    next one's index, and pin the round accepted at this level, if any.
+    i is the A-vertex this level pins with loop weight w, a is A pinned
+    through this level, da its decomposition, b is B before this level's
+    pin; candidates are the B-vertices tried in order, k the next one's
+    index, accepted the tried ones whose pin passed, and pin the round
+    accepted at this level, if any.
     """
 
+    i: int
+    w: float
     a: Graph
     da: SpectralDecomposition
     b: Graph
     candidates: list[int]
     k: int = 0
+    accepted: list[int] = field(default_factory=list)
     pin: RoundRecord | None = None
 
 
@@ -385,12 +405,16 @@ def search(
 ) -> Iterator[SearchEvent | SolveReport]:
     """The perturbation search as a stream of events.
 
-    Yields one :class:`SearchEvent` per evaluated pair, root first, and the
+    Yields one :class:`SearchEvent` per candidate pair, root first, and the
     :class:`SolveReport` as the last item.  Each pair is evaluated only
     when the next item is asked for, so a consumer that stops reading stops
-    the search.  The inputs must pass :func:`is_isomorphic`'s checks.
-    Level L tries the B-vertices that its parent's mask row L offers and
-    that are not pinned yet (see the module docstring).
+    the search.  The inputs may carry loops on the diagonal, such as pins
+    of an outer search; a witness must map them too, and every pin weighs
+    more than any of them.  Each level pins the free A-vertex whose row of
+    its parent's mask offers the fewest unpinned B-vertices, at least two,
+    and tries those (see the module docstring).  The searches for
+    automorphisms that prune candidates are searches of this kind; their
+    work is counted in the report, not streamed.
     """
     eps = opts.eps
     if opts.max_backtrack_steps < 0:
@@ -401,7 +425,8 @@ def search(
         yield SolveReport(NOT_ISOMORPHIC, None, root_cost=float("inf"), reason="size")
         return
     n = a.n
-    backtracks = lap_solves = 0
+    backtracks = lap_solves = pruned = inner_searches = 0
+    automorphisms: list[np.ndarray] = []  # of b, each verified
     stack: list[_Frame] = []
 
     def report(outcome: str, perm=None, reason=None) -> SolveReport:
@@ -414,27 +439,69 @@ def search(
             rounds=[f.pin for f in stack if f.pin is not None],
             root_cost=root_cost,
             reason=reason,
+            pruned=pruned,
+            inner_searches=inner_searches,
         )
 
-    def frame(level: int, a_prev: Graph, b_prev: Graph, mask: np.ndarray) -> _Frame:
-        a_pinned = perturb(a_prev, level, level + 1.0)
-        row = mask[level].copy()
-        row[[f.pin.j for f in stack]] = False
-        candidates = np.flatnonzero(row).tolist()
-        return _Frame(a_pinned, eigendecompose(a_pinned), b_prev, candidates)
+    def frame(a_prev: Graph, b_prev: Graph, mask: np.ndarray) -> _Frame:
+        """The next level: the free A-vertex offered the fewest B-vertices, at least two."""
+        offered = mask.copy()
+        offered[:, [f.pin.j for f in stack]] = False
+        taken = np.zeros(n, dtype=bool)
+        taken[[f.i for f in stack]] = True
+        sizes = offered.sum(axis=1)
+        sizes[taken | (sizes < 2)] = n + 1
+        i = int(sizes.argmin()) if sizes.min() <= n else int(taken.argmin())
+        w = base + len(stack) + 1.0
+        a_pinned = perturb(a_prev, i, w)
+        candidates = np.flatnonzero(offered[i]).tolist()
+        return _Frame(i, w, a_pinned, eigendecompose(a_pinned), b_prev, candidates)
+
+    def symmetric(top: _Frame, j: int) -> bool:
+        """Whether an automorphism of b fixing the pins above top maps a
+        candidate top has exhausted onto j.
+
+        Stored automorphisms answer first.  Otherwise a capped search, from
+        one accepted candidate of each orbit, may find a new one.
+        """
+        nonlocal decompositions, lap_solves, inner_searches
+        pins = [f.pin.j for f in stack[:-1]]
+        fixing = [s for s in automorphisms if (s[pins] == pins).all()]
+        if _orbit(top.candidates[: top.k - 1], fixing, n)[j]:
+            return True
+        tried = np.zeros(n, dtype=bool)
+        for j0 in top.accepted:
+            if tried[j0]:
+                continue
+            tried |= _orbit([j0], fixing, n)
+            x, y = perturb(top.b, j0, top.w), perturb(top.b, j, top.w)
+            inner = deque(search(x, y, SolverOptions(eps, _AUTOMORPHISM_BACKTRACKS)), maxlen=1)[0]
+            decompositions += inner.decompositions
+            lap_solves += inner.lap_solves
+            inner_searches += 1 + inner.inner_searches
+            if inner.outcome != ISOMORPHIC:
+                continue
+            sigma = inner.permutation.map
+            # Forced by the verified diagonals on loop-free inputs; checked for others.
+            if sigma[j0] == j and (sigma[pins] == pins).all():
+                automorphisms.append(sigma)
+                return True
+        return False
 
     root_cost, perm, mask = _evaluate(eigendecompose(a), eigendecompose(b), eps)
     decompositions = 2
     lap_solves += mask is not None
-    yield SearchEvent(None, None, root_cost, mask, perm is not None)
+    yield SearchEvent(None, None, None, root_cost, mask, perm is not None)
     if perm is None:
         yield report(NOT_ISOMORPHIC, reason="spectrum" if mask is None else "assignment")
         return
-    if is_exact_isomorphism(a, b, perm):
+    if _holds(a, b, perm):
         yield report(ISOMORPHIC, perm)
         return
 
-    stack.append(frame(0, a, b, mask))
+    # Pins weigh more than any loop of the inputs; set once a pin is needed.
+    base = max(np.abs(np.diag(a.adj)).max(), np.abs(np.diag(b.adj)).max())
+    stack.append(frame(a, b, mask))
     decompositions += 1
     while True:
         top = stack[-1]
@@ -448,26 +515,34 @@ def search(
         else:
             j = top.candidates[top.k]
             top.k += 1
-            b_pinned = perturb(top.b, j, level + 1.0)
+            if symmetric(top, j):
+                pruned += 1
+                yield SearchEvent(level, top.i, j, float("inf"), None, False, pruned=True)
+                continue
+            b_pinned = perturb(top.b, j, top.w)
             e, perm, mask = _evaluate(top.da, eigendecompose(b_pinned), eps)
             decompositions += 1
             lap_solves += mask is not None
-            yield SearchEvent(level, j, e, mask, perm is not None)
+            yield SearchEvent(level, top.i, j, e, mask, perm is not None)
             if perm is None:
                 continue
-            top.pin = RoundRecord(level, j, e, int(mask.sum()))
-            if is_exact_isomorphism(a, b, perm):
+            top.accepted.append(j)
+            top.pin = RoundRecord(top.i, j, e, int(mask.sum()))
+            if _holds(a, b, perm):
                 yield report(ISOMORPHIC, perm)
                 return
             if level + 1 < n:
-                stack.append(frame(level + 1, top.a, b_pinned, mask))
+                stack.append(frame(top.a, b_pinned, mask))
                 decompositions += 1
                 continue
             # Every vertex is pinned.  On 0/1 input the mask is then the pins'
             # own map, but with weights and a spectral radius above 1/(2 eps)
             # the diagonal bound does not force that, so it is checked too.
-            witness = Permutation([f.pin.j for f in stack])
-            if is_exact_isomorphism(a, b, witness):
+            images = np.empty(n, dtype=int)
+            for f in stack:
+                images[f.i] = f.pin.j
+            witness = Permutation(images)
+            if _holds(a, b, witness):
                 yield report(ISOMORPHIC, witness)
                 return
             # Complete but invalid: drop it and keep scanning this level.

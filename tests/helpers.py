@@ -10,6 +10,37 @@ import numpy as np
 from eigeniso import DEFAULT_EPS, Graph, group_eigenvalues
 
 
+# Base graphs of CFI pairs (generators.cfi), as edge lists.
+K4_EDGES = list(itertools.combinations(range(4), 2))
+K33_EDGES = [(u, v) for u in range(3) for v in range(3, 6)]
+
+
+class SearchSpy:
+    """Stands in for ``solver.search`` and records every call, the inner
+    searches for automorphisms included.
+
+    ``active`` counts the searches running now; ``calls`` holds one
+    (depth, a, b, items) per ended search, inner ones before their caller,
+    with depth 0 for a search nothing else started and items its events
+    followed by its report.
+    """
+
+    def __init__(self, search) -> None:
+        self.search = search
+        self.active = 0
+        self.calls: list[tuple[int, Graph, Graph, list]] = []
+
+    def __call__(self, a, b, opts):
+        depth = self.active
+        self.active += 1
+        try:
+            items = list(self.search(a, b, opts))
+        finally:
+            self.active -= 1
+        self.calls.append((depth, a, b, items))
+        yield from items
+
+
 def all_graphs(n: int) -> list[Graph]:
     """Every labeled simple graph on n vertices (2^(n choose 2) of them)."""
     vertex_pairs = list(itertools.combinations(range(n), 2))
@@ -40,6 +71,20 @@ def eigen_groups(d, eps: float = DEFAULT_EPS) -> list[Group]:
     starts = group_eigenvalues(d.values, d.values, eps)
     stops = [*starts[1:], d.n]
     return [Group(float(d.values[s:e].mean()), s, e) for s, e in zip(starts, stops)]
+
+
+def sorted_row_distance(u_a, u_b) -> float:
+    """Euclidean distance between ascending-sorted copies of two vectors.
+
+    Zero exactly when one vector is a permutation of the other, which makes
+    it a relabeling-invariant comparison of projector rows; the definition
+    each cost-matrix entry is checked against.
+    """
+    u_a = np.asarray(u_a, dtype=float)
+    u_b = np.asarray(u_b, dtype=float)
+    if u_a.shape != u_b.shape:
+        raise ValueError("length mismatch")
+    return float(np.linalg.norm(np.sort(u_a) - np.sort(u_b)))
 
 
 def dense_norm_bound(da, db, starts: list[int]) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 from eigeniso import (
     DEFAULT_EPS,
     Permutation,
+    SolverOptions,
     apply_permutation,
     cospectral_fixture,
     is_exact_isomorphism,
@@ -20,7 +21,8 @@ from eigeniso import (
     srg_fixture,
 )
 from eigeniso.cli import EPS_ENV_VAR, _default_eps, main
-from eigeniso.generators import complete, cycle, paley, path
+from eigeniso.generators import cfi, complete, cycle, paley, path
+from helpers import K33_EDGES
 
 
 def _write(tmp_path, name, g):
@@ -115,10 +117,35 @@ class TestCheck:
         assert "search exhaustion" in capsys.readouterr().out
 
     def test_inconclusive_exit_code(self, tmp_path, capsys):
-        a, b = srg_fixture()
+        a = cfi(K33_EDGES)  # exhausted after 6 backtracks without a cap
+        b = apply_permutation(cfi(K33_EDGES, twist=True), random_permutation(a.n, 1))
         fa, fb = _write(tmp_path, "a.col", a), _write(tmp_path, "b.col", b)
         assert main(["check", fa, fb, "--max-backtrack", "2"]) == 2
         assert "inconclusive" in capsys.readouterr().out
+
+    def test_stats_on_every_outcome(self, tmp_path, capsys):
+        # the line a rejection or an inconclusive answer explains itself by
+        a, b = srg_fixture()
+        fa, fb = _write(tmp_path, "a.col", a), _write(tmp_path, "b.col", b)
+        pairs = [((fa, fb), 1, None), ((fa, fb), 2, 0)]
+        spectral = (_write(tmp_path, "k3.col", complete(3)), _write(tmp_path, "p3.col", path(3)))
+        pairs.append((spectral, 1, None))
+        for (x, y), code, cap in pairs:
+            flags = [] if cap is None else ["--max-backtrack", str(cap)]
+            assert main(["check", x, y, *flags]) == code
+            line = capsys.readouterr().out.splitlines()[-1]
+            stats = dict(item.split("=") for item in line.removeprefix("stats: ").split())
+            opts = SolverOptions(max_backtrack_steps=10**6 if cap is None else cap)
+            report = is_isomorphic(load_graph(x), load_graph(y), opts)
+            assert stats == {
+                "rounds": str(len(report.rounds)),
+                "backtracks": str(report.backtrack_steps),
+                "decompositions": str(report.decompositions),
+                "lap_solves": str(report.lap_solves),
+                "pruned": str(report.pruned),
+                "inner_searches": str(report.inner_searches),
+            }
+        assert int(stats["decompositions"]) == 2  # the spectral certificate
 
     def test_missing_file_is_error(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "no.col"), str(tmp_path / "pe.col")]) == 3

@@ -16,6 +16,7 @@ from eigeniso import (
     srg_fixture,
 )
 from eigeniso.generators import (
+    cfi,
     complete,
     cycle,
     lattice,
@@ -26,7 +27,7 @@ from eigeniso.generators import (
     star,
     triangular,
 )
-from helpers import char_poly_spectrum, eigen_groups
+from helpers import K4_EDGES, K33_EDGES, char_poly_spectrum, eigen_groups
 
 
 class TestFamilies:
@@ -168,6 +169,24 @@ class TestSrgFixture:
         edges_b, triangles_b = neighborhood_edge_count(b)
         assert edges_a == edges_b == 6
         assert triangles_a == 2 and triangles_b == 0
+
+
+class TestCfi:
+    def test_sizes_and_degrees(self):
+        # a cubic base vertex gives 4 middle and 6 end vertices, all of degree 3
+        for base, n in ((K4_EDGES, 40), (K33_EDGES, 60)):
+            for g in (cfi(base), cfi(base, twist=True)):
+                assert g.n == n and np.all(g.degrees() == 3)
+
+    def test_twist_crosses_one_edge_and_keeps_the_spectrum(self):
+        g, h = cfi(K4_EDGES), cfi(K4_EDGES, twist=True)
+        assert np.count_nonzero(np.triu(g.adj != h.adj)) == 4  # 2 links out, 2 in
+        assert np.allclose(np.linalg.eigvalsh(g.adj), np.linalg.eigvalsh(h.adj), atol=1e-9)
+
+    def test_base_must_be_simple(self):
+        for base in ([(0, 0), (0, 1)], [(0, 1), (1, 0)]):
+            with pytest.raises(ValueError, match="simple"):
+                cfi(base)
 
 
 class TestBruteForceOracle:

@@ -14,7 +14,6 @@ from eigeniso import (
     build_cost_matrix,
     cospectral_fixture,
     eigendecompose,
-    find_permutation,
     group_eigenvalues,
     is_exact_isomorphism,
     is_isomorphic,
@@ -26,6 +25,7 @@ from eigeniso import (
 )
 from eigeniso import assignment, solver
 from eigeniso.generators import (
+    cfi,
     complete,
     cycle,
     lattice,
@@ -36,9 +36,17 @@ from eigeniso.generators import (
     triangular,
 )
 from eigeniso.assignment import is_unique_zero_assignment, solve_lap
-from eigeniso.solver import _evaluate, sorted_row_distance
+from eigeniso.solver import _evaluate
 from eigeniso.spectral import SpectralDecomposition
-from helpers import dense_norm_bound, eigen_groups, lap_brute_force
+from helpers import (
+    K4_EDGES,
+    K33_EDGES,
+    SearchSpy,
+    dense_norm_bound,
+    eigen_groups,
+    lap_brute_force,
+    sorted_row_distance,
+)
 
 
 def rotated(g, shift=1, n=None):
@@ -279,6 +287,14 @@ def hungarian_runs(monkeypatch):
     return runs
 
 
+@pytest.fixture
+def search_spy(monkeypatch):
+    """solver.search, recording every call (see helpers.SearchSpy)."""
+    spy = SearchSpy(solver.search)
+    monkeypatch.setattr(solver, "search", spy)
+    return spy
+
+
 def _has_matching(mask):
     """Whether a boolean mask holds a perfect matching, by the Hungarian."""
     return solve_lap((~mask).astype(float)).cost == 0
@@ -396,9 +412,8 @@ class TestMaskFirstDecision:
         def summary(report):
             return (
                 report.outcome,
-                report.decompositions,
-                report.lap_solves,
                 report.backtrack_steps,
+                report.pruned,
                 [(r.i, r.j, r.zero_count) for r in report.rounds],
                 None if report.permutation is None else list(report.permutation.map),
                 report.spectral_rejection,
@@ -414,7 +429,8 @@ class TestMaskFirstDecision:
             return events, report
 
         def fields(e):
-            return e.i, e.j, e.accepted, None if e.mask is None else e.mask.tolist()
+            mask = None if e.mask is None else e.mask.tolist()
+            return e.level, e.i, e.j, e.accepted, e.pruned, mask
 
         pairs = _pairs_for_equivalence()
         mask_first = [run(a, b) for _, a, b in pairs]
@@ -427,6 +443,12 @@ class TestMaskFirstDecision:
             assert got.outcome == want.outcome and got.reason == want.reason, name
             if got.outcome != ISOMORPHIC:
                 assert summary(got) == summary(want), name
+                assert list(map(fields, got_events)) == list(map(fields, want_events)), name
+                # An inner search for an automorphism of B ends at its first
+                # verified assignment too, so only its outcome must agree.
+                if not got.inner_searches:
+                    assert got.decompositions == want.decompositions, name
+                    assert got.lap_solves == want.lap_solves, name
                 _assert_costs_by_contract(got, _costs(want), self.EPS, name)
                 continue
             # The Hungarian's optimum can be another sub-eps assignment than
@@ -466,11 +488,24 @@ def _assert_costs_by_contract(report, reference, eps, name):
             assert eps <= got <= want, name
 
 
-def _scan_all_search(a, b, eps=1e-6):
-    """The search without mask-guided lists, with its own matching test, as a reference.
+def _fail_first(mask, rounds):
+    """The A-vertex a level pins: the free row of the parent's mask offering
+    the fewest unpinned B-vertices, at least two, else the lowest free row."""
+    pinned_a = {i for i, *_ in rounds}
+    pinned_b = {j for _, j, *_ in rounds}
+    free = [i for i in range(mask.shape[0]) if i not in pinned_a]
+    sizes = {i: sum(mask[i, j] for j in range(mask.shape[1]) if j not in pinned_b) for i in free}
+    open_rows = [i for i in free if sizes[i] >= 2]
+    return min(open_rows, key=lambda i: (sizes[i], i)) if open_rows else free[0]
 
-    Level L tries every B-vertex not yet pinned.  A pair passes when its
-    sub-eps mask holds a perfect matching, as a Hungarian solve on the
+
+def _scan_all_search(a, b, eps=1e-6):
+    """The search without mask-guided lists or pruning, with its own matching
+    test, as a reference.
+
+    Level L pins the A-vertex that :func:`_fail_first` picks from the last
+    accepted mask and tries every B-vertex not yet pinned.  A pair passes
+    when its sub-eps mask holds a perfect matching, as a Hungarian solve on the
     mask's complement finds, and every cost is the Hungarian optimum of its
     cost matrix or a spectral distance.  Each accepted pair verifies the
     assignment that solver._decide proposes, as the search does, and the
@@ -482,13 +517,13 @@ def _scan_all_search(a, b, eps=1e-6):
     counts = {"dec": 2, "lap": 0, "bt": 0}
     rounds = []
     da, db = eigendecompose(a), eigendecompose(b)
-    root_cost, proposed = spectral_distance(da, db), None
+    root_cost, proposed, root_mask = spectral_distance(da, db), None, None
     spectral = root_cost > eps
     if not spectral:
         c = build_cost_matrix(da, db, eps)
-        root_cost = solve_lap(c).cost
+        root_cost, root_mask = solve_lap(c).cost, c < eps
         counts["lap"] += 1
-        if _has_matching(c < eps):
+        if _has_matching(root_mask):
             proposed = solver._decide(c, eps)[1]
             assert proposed is not None
 
@@ -504,8 +539,9 @@ def _scan_all_search(a, b, eps=1e-6):
         costs = [(root_cost, proposed is not None)]
         return fields, costs + [(cost, True) for _, _, cost, _ in rounds], counts
 
-    def descend(level, a_prev, b_prev):
-        a_pinned = perturb(a_prev, level, level + 1.0)
+    def descend(level, a_prev, b_prev, mask):
+        i = _fail_first(mask, rounds)
+        a_pinned = perturb(a_prev, i, level + 1.0)
         da = eigendecompose(a_pinned)
         counts["dec"] += 1
         for j in range(n):
@@ -520,18 +556,20 @@ def _scan_all_search(a, b, eps=1e-6):
             counts["lap"] += 1
             if not _has_matching(c < eps):
                 continue
-            rounds.append((level, j, solve_lap(c).cost, int((c < eps).sum())))
+            rounds.append((i, j, solve_lap(c).cost, int((c < eps).sum())))
             perm = solver._decide(c, eps)[1]
             if is_exact_isomorphism(a, b, perm):
                 return perm
             if level + 1 < n:
-                found = descend(level + 1, a_pinned, b_pinned)
+                found = descend(level + 1, a_pinned, b_pinned, c < eps)
                 if found is not None:
                     return found
             else:
-                witness = Permutation([r[1] for r in rounds])
-                if is_exact_isomorphism(a, b, witness):
-                    return witness
+                images = [0] * n
+                for x, y, *_ in rounds:
+                    images[x] = y
+                if is_exact_isomorphism(a, b, Permutation(images)):
+                    return Permutation(images)
             counts["bt"] += 1
             rounds.pop()
         return None
@@ -540,7 +578,7 @@ def _scan_all_search(a, b, eps=1e-6):
         return result(NOT_ISOMORPHIC, spectral=spectral)
     if is_exact_isomorphism(a, b, proposed):
         return result(ISOMORPHIC, proposed)
-    found = descend(0, a, b)
+    found = descend(0, a, b, root_mask)
     if found is None:
         return result(NOT_ISOMORPHIC, heuristic=True)
     return result(ISOMORPHIC, found)
@@ -562,12 +600,18 @@ class TestMaskGuidedSearch:
                 report.heuristic_rejection,
             )
             want, costs, counts = _scan_all_search(a, b)
-            assert got == want, name
+            if report.pruned:
+                # Skipping symmetric copies of exhausted subtrees keeps the
+                # answer and saves backtracks.
+                assert got[:3] + got[4:] == want[:3] + want[4:], name
+                assert got[3] < want[3], name
+            else:
+                assert got == want, name
             _assert_costs_by_contract(report, costs, 1e-6, name)
             assert report.decompositions <= counts["dec"], name
             assert report.lap_solves <= counts["lap"], name
             if name == "srg_fixture":
-                assert report.backtrack_steps > 0
+                assert report.backtrack_steps > 0 and report.pruned > 0
                 assert report.decompositions < counts["dec"]
 
     def test_pinned_decision_agrees_with_hungarian(self, hungarian_runs):
@@ -623,71 +667,49 @@ class TestMaskGuidedSearch:
         # unpinned A-vertex none, which no sub-eps entry matches on 0/1 input
         offered = checked = 0
         for name, a, b in _pairs_for_equivalence():
-            pins = []  # the pinned B-vertices, by level
+            pins = []  # the pinned (A-vertex, B-vertex) pairs, by level
             for e in solver.search(a, b, SolverOptions()):
-                if isinstance(e, solver.SearchEvent) and e.i is not None and e.accepted:
-                    pins[e.i :] = [e.j]
-                    offered += int(e.mask[e.i + 1 :, pins].sum())
+                if isinstance(e, solver.SearchEvent) and e.level is not None and e.accepted:
+                    pins[e.level :] = [(e.i, e.j)]
+                    free = np.ones(a.n, dtype=bool)
+                    free[[i for i, _ in pins]] = False
+                    offered += int(e.mask[free][:, [j for _, j in pins]].sum())
                     checked += 1
         assert checked > 0 and offered == 0
 
-    def test_accepted_event_cost_bounds_round_cost(self, monkeypatch):
+    def test_accepted_event_cost_bounds_round_cost(self, monkeypatch, search_spy):
         # an accepted pin's event and round carry the accepted assignment's
         # cost: an upper bound of its cost matrix's optimum, the optimum
         # itself when the sub-eps mask has one perfect matching
         eps = 1e-6
-        decided = []
+        decided = []  # (searches running, cost matrix)
         decide = solver._decide
 
         def recorded(c, eps):
-            out = decide(c, eps)
-            decided.append(c)
-            return out
+            decided.append((search_spy.active, c))
+            return decide(c, eps)
 
         monkeypatch.setattr(solver, "_decide", recorded)
         strict = 0
         for name, a, b in _pairs_for_equivalence():
             decided.clear()
             *events, report = solver.search(a, b, SolverOptions())
+            outer = [c for active, c in decided if active == 1]  # not an inner search's
             with_mask = [e for e in events if e.mask is not None]
-            assert len(with_mask) == len(decided), name
+            assert len(with_mask) == len(outer), name
             last = {}  # level -> its last accepted event
-            for e, c in zip(with_mask, decided):
-                if e.i is None or not e.accepted:
+            for e, c in zip(with_mask, outer):
+                if e.level is None or not e.accepted:
                     continue
                 optimum = solve_lap(c).cost
                 assert optimum <= e.cost < eps, name
                 if is_unique_zero_assignment(e.mask):
                     assert e.cost == optimum, name
                 strict += optimum < e.cost
-                last[e.i] = e
-            for r in report.rounds:
-                assert (last[r.i].j, last[r.i].cost) == (r.j, r.cost), name
+                last[e.level] = e
+            for level, r in enumerate(report.rounds):
+                assert (last[level].i, last[level].j, last[level].cost) == (r.i, r.j, r.cost), name
         assert strict > 0
-
-
-class TestFindPermutation:
-    def test_spectral_quick_reject(self):
-        e, perm = find_permutation(complete(3), path(3))
-        assert e > 1e-6
-        assert perm is None
-
-    def test_isomorphic_pair_passes(self):
-        e, perm = find_permutation(cycle(6), rotated(cycle(6)))
-        assert e < 1e-6
-        assert isinstance(perm, Permutation)
-
-    def test_paley_root_cost_matrix_all_zero(self):
-        g = paley(17)
-        b = apply_permutation(g, random_permutation(17, 5))
-        c = build_cost_matrix(eigendecompose(g), eigendecompose(b))
-        assert np.max(c) < 1e-6
-        e, perm = find_permutation(g, b)
-        assert e < 1e-6 and perm is not None
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            find_permutation(cycle(5), cycle(6))
 
 
 class TestIsIsomorphicAccepts:
@@ -715,14 +737,15 @@ class TestIsIsomorphicAccepts:
         assert (report.decompositions, report.lap_solves) == (2, 1)
 
     def test_first_verified_pin_ends_the_search(self):
-        # the fourth pin's sub-eps assignment holds, one round before the
-        # pins alone leave a single permutation
+        # the third pin's sub-eps assignment holds, while its mask still
+        # holds more than one permutation; the third level pins A-vertex 3,
+        # whose row offers the fewest candidates
         g = paley(13)
         b = apply_permutation(g, random_permutation(13, 77))
         report = is_isomorphic(g, b)
         assert report.outcome == ISOMORPHIC
         assert is_exact_isomorphism(g, b, report.permutation)
-        assert [r.i for r in report.rounds] == [0, 1, 2, 3]
+        assert [r.i for r in report.rounds] == [0, 1, 3]
         assert report.rounds[-1].zero_count > 13
         assert report.backtrack_steps == 0
 
@@ -762,6 +785,14 @@ class TestIsIsomorphicAccepts:
         assert report.rounds == []
         assert report.decompositions == 2
         assert report.lap_solves == 1
+
+    def test_relabelled_cfi_found(self):
+        for base in (K4_EDGES, K33_EDGES):
+            g = cfi(base)
+            b = apply_permutation(g, random_permutation(g.n, 2))
+            report = is_isomorphic(g, b)
+            assert report.outcome == ISOMORPHIC, base
+            assert is_exact_isomorphism(g, b, report.permutation), base
 
     def test_near_eps_eigenvalue_gap_grouped_alike_on_both_sides(self):
         # reweighting edge (0, 1) of cycle(6) opens gaps of about eps inside
@@ -822,6 +853,63 @@ class TestIsIsomorphicRejects:
         assert report.backtrack_steps > 0
         assert report.rounds == []
 
+    def test_cfi_twist_rejected(self):
+        # CFI pairs defeat spectra and refinement; the twisted side is
+        # relabelled so that nothing rests on the construction's order
+        for base in (K4_EDGES, K33_EDGES):
+            a = cfi(base)
+            b = apply_permutation(cfi(base, twist=True), random_permutation(a.n, 1))
+            report = is_isomorphic(a, b)
+            assert report.outcome == NOT_ISOMORPHIC, base
+            assert report.reason == "exhaustion", base
+            assert report.pruned > 0, base
+
+
+class TestAutomorphismPruning:
+    """Candidates skipped because a verified automorphism of B maps an
+    exhausted candidate onto them."""
+
+    def test_backtracks_do_not_depend_on_the_labelling_of_a(self):
+        # in index order the pins took 16, 64 or 448 backtracks here
+        a, b = srg_fixture()
+        steps = {
+            is_isomorphic(apply_permutation(a, random_permutation(a.n, k)), b).backtrack_steps
+            for k in range(10)
+        }
+        assert steps == {1}
+
+    def test_kept_automorphisms_fix_the_pins(self, search_spy):
+        # an inner search runs from B pinned at j0 to B pinned at j; the
+        # permutation it verifies maps B, pins included, onto itself and j0 to j
+        kept = 0
+        pairs = [srg_fixture(), (cfi(K4_EDGES), cfi(K4_EDGES, twist=True))]
+        for a, b in pairs:
+            search_spy.calls.clear()
+            report = is_isomorphic(a, b)
+            assert report.outcome == NOT_ISOMORPHIC and report.pruned > 0
+            for depth, x, y, items in search_spy.calls:
+                if depth == 0 or items[-1].outcome != ISOMORPHIC:
+                    continue
+                sigma = items[-1].permutation.map
+                loops = np.diag(x.adj) - np.diag(y.adj)
+                j0, j = int(loops.argmax()), int(loops.argmin())
+                pinned_b = x.adj.copy()
+                pinned_b[j0, j0] -= loops[j0]
+                assert np.array_equal(pinned_b[np.ix_(sigma, sigma)], pinned_b)
+                assert sigma[j0] == j
+                pins = np.flatnonzero(np.diag(pinned_b))
+                assert np.array_equal(sigma[pins], pins)
+                kept += 1
+        assert kept > 0
+
+    def test_isomorphic_searches_run_no_inner_search(self):
+        # an inner search starts from an exhausted accepted pin, so a
+        # search that never backtracks starts none
+        for g in (paley(101), lattice(10)):
+            report = is_isomorphic(g, apply_permutation(g, random_permutation(g.n, 3)))
+            assert report.outcome == ISOMORPHIC
+            assert report.backtrack_steps == report.pruned == report.inner_searches == 0
+
 
 class TestInputContract:
     def test_self_loops_rejected(self):
@@ -842,8 +930,6 @@ class TestInputContract:
             for eps in (np.nan, np.inf, 0.0, -1e-6):
                 with pytest.raises(ValueError, match="positive and finite"):
                     is_isomorphic(g, b, SolverOptions(eps=eps, max_backtrack_steps=100))
-                with pytest.raises(ValueError, match="positive and finite"):
-                    find_permutation(g, b, eps)
 
     def test_max_backtrack_steps_must_be_non_negative(self):
         # a negative cap once made the SRG pair inconclusive after 1 backtrack
@@ -854,7 +940,9 @@ class TestInputContract:
 
 class TestInconclusive:
     def test_backtrack_cap_yields_inconclusive(self):
-        a, b = srg_fixture()
+        # exhausted after 6 backtracks without a cap
+        a = cfi(K33_EDGES)
+        b = apply_permutation(cfi(K33_EDGES, twist=True), random_permutation(a.n, 1))
         report = is_isomorphic(a, b, SolverOptions(max_backtrack_steps=3))
         assert report.outcome == INCONCLUSIVE
         assert report.permutation is None
@@ -885,24 +973,37 @@ class TestSearchEvents:
         fields["permutation"] = None if perm is None else perm.map.tolist()
         return fields
 
-    def test_last_item_is_the_report(self):
+    def test_last_item_is_the_report(self, search_spy):
+        inner = 0
         for name, a, b in _pairs_for_equivalence():
+            search_spy.calls.clear()
             *events, last = solver.search(a, b, SolverOptions())
+            calls = search_spy.calls[:]
             report = is_isomorphic(a, b)
             assert self._fields(last) == self._fields(report), name
-            assert events[0].i is None and events[0].j is None, name
+            assert events[0].level is events[0].i is events[0].j is None, name
             assert all(isinstance(e, solver.SearchEvent) for e in events), name
-            assert sum(e.mask is not None for e in events) == report.lap_solves, name
+            # every cost matrix decided, an inner search's too, is a mask
+            # event of one stream
+            streams = [items[:-1] for *_, items in calls]
+            assert sum(e.mask is not None for s in streams for e in s) == report.lap_solves, name
+            assert len(calls) - 1 == report.inner_searches, name
+            inner += report.inner_searches
+        assert inner > 0
 
 
 class TestCounters:
     def test_round_indices_are_consecutive(self):
+        # without backtracking, level k accepts one pin, which is round k
         g = triangular(6)
         b = apply_permutation(g, random_permutation(g.n, 9))
-        report = is_isomorphic(g, b)
+        *events, report = solver.search(g, b, SolverOptions())
         assert report.outcome == ISOMORPHIC
         assert len(report.rounds) > 1
-        assert [r.i for r in report.rounds] == list(range(len(report.rounds)))
+        accepted = [e for e in events[1:] if e.accepted]
+        assert [e.level for e in accepted] == list(range(len(report.rounds)))
+        assert [(e.i, e.j) for e in accepted] == [(r.i, r.j) for r in report.rounds]
+        assert len({r.i for r in report.rounds}) == len(report.rounds)
 
     def test_budgets_on_backtrack_free_runs(self):
         cases = [
