@@ -1,7 +1,7 @@
 """Dense linear assignment: Hungarian method plus zero-structure analysis.
 
-The search decides a cost matrix by its sub-eps mask alone
-(:func:`count_zero_structure`, :func:`perfect_matching`).  The Hungarian
+The search decides a cost matrix by its sub-eps mask ``c < eps`` alone:
+does it hold a perfect matching (:func:`perfect_matching`)?  The Hungarian
 solver :func:`solve_lap` and :func:`is_unique_zero_assignment` are off that
 path; they are the reference optimum and uniqueness check.
 
@@ -80,13 +80,6 @@ def solve_lap(c: np.ndarray) -> LapSolution:
     for i in range(n):
         cost += c[i, row_to_col[i]]
     return LapSolution(Permutation(row_to_col), float(cost))
-
-
-def count_zero_structure(c: np.ndarray, eps: float) -> np.ndarray:
-    """Boolean mask of assignable entries: mask[i][j] = (c[i][j] < eps)."""
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    return np.asarray(c) < eps
 
 
 def perfect_matching(mask: np.ndarray) -> np.ndarray | None:

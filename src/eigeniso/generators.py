@@ -14,18 +14,6 @@ import numpy as np
 
 from .graph import Graph, Permutation
 
-FAMILIES = (
-    "cycle",
-    "paley",
-    "lattice",
-    "triangular",
-    "complete",
-    "path",
-    "star",
-    "random_gnp",
-)
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """A family name, its size parameter, and a seed for the random family."""
@@ -136,26 +124,28 @@ def random_gnp(n: int, seed: int | None, p: float = 0.5) -> Graph:
     return Graph(adj)
 
 
+# Family name -> builder of one size parameter; random_gnp also takes the seed.
+FAMILIES = {
+    "cycle": cycle,
+    "paley": paley,
+    "lattice": lattice,
+    "triangular": triangular,
+    "complete": complete,
+    "path": path,
+    "star": star,
+    "random_gnp": random_gnp,
+}
+
+
 def generate(spec: GeneratorSpec) -> Graph:
     """Build the graph described by a :class:`GeneratorSpec`."""
-    fam = spec.family
-    if fam == "cycle":
-        return cycle(spec.parameter)
-    if fam == "paley":
-        return paley(spec.parameter)
-    if fam == "lattice":
-        return lattice(spec.parameter)
-    if fam == "triangular":
-        return triangular(spec.parameter)
-    if fam == "complete":
-        return complete(spec.parameter)
-    if fam == "path":
-        return path(spec.parameter)
-    if fam == "star":
-        return star(spec.parameter)
-    if fam == "random_gnp":
-        return random_gnp(spec.parameter, spec.seed)
-    raise ValueError(f"unknown family {fam!r}; expected one of {FAMILIES}")
+    build = FAMILIES.get(spec.family)
+    if build is None:
+        known = ", ".join(FAMILIES)
+        raise ValueError(f"unknown family {spec.family!r}; expected one of {known}")
+    if build is random_gnp:
+        return build(spec.parameter, spec.seed)
+    return build(spec.parameter)
 
 
 # ---------------------------------------------------------------------------

@@ -115,18 +115,14 @@ def apply_permutation(g: Graph, p: Permutation) -> Graph:
 
 
 def is_exact_isomorphism(a: Graph, b: Graph, p: Permutation) -> bool:
-    """Check that ``p`` maps the edge set of ``a`` onto that of ``b``.
+    """Whether B[p(i)][p(j)] == A[i][j] for every i and j, diagonal included.
 
-    Compares off-diagonal entries only, so permutations extracted from
-    perturbed matrices validate against the unperturbed edge structure.
+    The full matrices are compared, so loop weights (the pins of a search)
+    must map onto each other as well as the edges.
     """
     if a.n != b.n or len(p) != a.n:
         raise ValueError("size mismatch")
-    pa = apply_permutation(a, p).adj.copy()
-    bb = b.adj.copy()
-    np.fill_diagonal(pa, 0.0)
-    np.fill_diagonal(bb, 0.0)
-    return np.array_equal(pa, bb)
+    return np.array_equal(b.adj.take(p.map, 0).take(p.map, 1), a.adj)
 
 
 def perturb(g: Graph, i: int, w: float) -> Graph:

@@ -16,7 +16,7 @@ an accepted pin pushes the next frame, and a level out of candidates pops
 its frame and the pin above it (backtracking).  Each accepted cost matrix
 comes with the mask's matching as its assignment, and the search ends at
 the first one, at the root or at a pin, that maps the inputs onto each
-other entry for entry (:func:`is_exact_isomorphism` and the diagonals);
+other entry for entry, diagonal included (:func:`is_exact_isomorphism`);
 with every vertex pinned, the pins' own map is checked too.
 :func:`search` yields one event per candidate and the report last;
 :func:`is_isomorphic` reads the report, ``dump-cost`` the events' masks.
@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import count_zero_structure, perfect_matching
+from .assignment import perfect_matching
 from .graph import Graph, Permutation, is_exact_isomorphism, perturb
 from .spectral import (
     DEFAULT_EPS,
@@ -74,10 +74,12 @@ class SolverOptions:
     """Tunables of the search.
 
     eps: tolerance below which eigenvalues coincide and costs count as zero;
-        positive and finite, else the search raises :class:`ValueError`.
+        positive and finite.
     max_backtrack_steps: deleted assignments allowed before giving up
-        (outcome inconclusive, never a wrong answer); nonnegative, else
-        the search raises :class:`ValueError`.
+        (outcome inconclusive, never a wrong answer); nonnegative.
+
+    :func:`search` checks both when it is entered, before it compares the
+    sizes, and raises :class:`ValueError` if either is out of range.
     """
 
     eps: float = DEFAULT_EPS
@@ -264,17 +266,14 @@ def build_cost_matrix(
         exact += _rank_one_costs(da.vectors[:, single], db.vectors[:, single], ii, jj)
     multi = [(start, stop) for start, stop in spans if stop - start > 1]
     if multi:
-        # Larger groups: sort only the rows some candidate pair uses.
-        rows_a, at_a = np.unique(ii, return_inverse=True)
-        rows_b, at_b = np.unique(jj, return_inverse=True)
         block = max(1, _PAIR_BLOCK // n)
         for start, stop in multi:
-            sorted_a = np.sort(projection(da, start, stop)[rows_a], axis=1)
-            sorted_b = np.sort(projection(db, start, stop)[rows_b], axis=1)
+            sorted_a = np.sort(projection(da, start, stop), axis=1)
+            sorted_b = np.sort(projection(db, start, stop), axis=1)
             # Distances computed directly: the Gram expansion cancels near
             # zero, where eps decides.
             for s in range(0, ii.shape[0], block):
-                diff = sorted_a[at_a[s : s + block]] - sorted_b[at_b[s : s + block]]
+                diff = sorted_a[ii[s : s + block]] - sorted_b[jj[s : s + block]]
                 exact[s : s + block] += np.sqrt(np.einsum("ij,ij->i", diff, diff))
     c[ii, jj] = exact
     return c
@@ -302,7 +301,7 @@ def _decide(c: np.ndarray, eps: float) -> tuple[float, Permutation | None, np.nd
       as the cost.  Every assignment uses such an entry, so the cost is at
       least ``eps`` and at most the optimum.
     """
-    mask = count_zero_structure(c, eps)
+    mask = c < eps
     rows, cols = mask.sum(axis=1), mask.sum(axis=0)
     if rows.min() == 0:
         return _sequential_sum(c.min(axis=1)), None, mask
@@ -322,11 +321,9 @@ def _evaluate(
 
     Returns (e, assignment, sub-eps mask) as :func:`_decide` does, or (spectral
     distance, None, None) when the spectra differ by more than ``eps``.
-    An ``eps`` that is not positive and finite reaches
-    :func:`build_cost_matrix`, whose grouping rejects it.
     """
     dist = spectral_distance(da, db)
-    if dist > eps > 0:
+    if dist > eps:
         return dist, None, None
     return _decide(build_cost_matrix(da, db, eps), eps)
 
@@ -356,13 +353,6 @@ class SearchEvent(NamedTuple):
 # Backtracks allowed to a search for an automorphism of B; a symmetric pair
 # of candidates is usually matched without any.
 _AUTOMORPHISM_BACKTRACKS = 3
-
-
-def _holds(a: Graph, b: Graph, p: Permutation) -> bool:
-    """Whether ``p`` maps ``a`` onto ``b`` entry for entry, loops included."""
-    return is_exact_isomorphism(a, b, p) and np.array_equal(
-        np.diag(b.adj)[p.map], np.diag(a.adj)
-    )
 
 
 def _orbit(seeds: list[int], generators: list[np.ndarray], n: int) -> np.ndarray:
@@ -408,15 +398,19 @@ def search(
     Yields one :class:`SearchEvent` per candidate pair, root first, and the
     :class:`SolveReport` as the last item.  Each pair is evaluated only
     when the next item is asked for, so a consumer that stops reading stops
-    the search.  The inputs may carry loops on the diagonal, such as pins
-    of an outer search; a witness must map them too, and every pin weighs
-    more than any of them.  Each level pins the free A-vertex whose row of
-    its parent's mask offers the fewest unpinned B-vertices, at least two,
-    and tries those (see the module docstring).  The searches for
-    automorphisms that prune candidates are searches of this kind; their
-    work is counted in the report, not streamed.
+    the search.  Options out of range raise :class:`ValueError` first,
+    whatever the sizes.  The inputs may carry loops on the diagonal, such
+    as pins of an outer search; every witness is checked by
+    :func:`is_exact_isomorphism` on the full matrices, so it maps them too,
+    and every pin weighs more than any of them.  Each level pins the free
+    A-vertex whose row of its parent's mask offers the fewest unpinned
+    B-vertices, at least two, and tries those (see the module docstring).
+    The searches for automorphisms that prune candidates are searches of
+    this kind; their work is counted in the report, not streamed.
     """
     eps = opts.eps
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if opts.max_backtrack_steps < 0:
         raise ValueError(
             f"max_backtrack_steps must be >= 0, got {opts.max_backtrack_steps}"
@@ -495,7 +489,7 @@ def search(
     if perm is None:
         yield report(NOT_ISOMORPHIC, reason="spectrum" if mask is None else "assignment")
         return
-    if _holds(a, b, perm):
+    if is_exact_isomorphism(a, b, perm):
         yield report(ISOMORPHIC, perm)
         return
 
@@ -528,7 +522,7 @@ def search(
                 continue
             top.accepted.append(j)
             top.pin = RoundRecord(top.i, j, e, int(mask.sum()))
-            if _holds(a, b, perm):
+            if is_exact_isomorphism(a, b, perm):
                 yield report(ISOMORPHIC, perm)
                 return
             if level + 1 < n:
@@ -542,7 +536,7 @@ def search(
             for f in stack:
                 images[f.i] = f.pin.j
             witness = Permutation(images)
-            if _holds(a, b, witness):
+            if is_exact_isomorphism(a, b, witness):
                 yield report(ISOMORPHIC, witness)
                 return
             # Complete but invalid: drop it and keep scanning this level.

@@ -5,12 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from eigeniso.assignment import (
-    count_zero_structure,
-    is_unique_zero_assignment,
-    perfect_matching,
-    solve_lap,
-)
+from eigeniso.assignment import is_unique_zero_assignment, perfect_matching, solve_lap
 from helpers import lap_brute_force, perfect_matchings
 
 
@@ -64,7 +59,7 @@ class TestSolveLap:
             sol = solve_lap(c)
             assert sol.cost < 1e-6
             assert list(sol.assignment.map) == list(perm)
-            assert is_unique_zero_assignment(count_zero_structure(c, 1e-6))
+            assert is_unique_zero_assignment(c < 1e-6)
 
     def test_rejects_non_finite_and_non_square(self):
         with pytest.raises(ValueError):
@@ -74,26 +69,6 @@ class TestSolveLap:
         with pytest.raises(ValueError):
             solve_lap(np.ones((2, 3)))
 
-
-
-class TestCountZeroStructure:
-    def test_threshold(self):
-        c = np.array([[0.0, 1e-7], [2e-6, 0.5]])
-        mask = count_zero_structure(c, 1e-6)
-        assert mask.tolist() == [[True, True], [False, False]]
-
-    def test_all_zero(self):
-        assert count_zero_structure(np.zeros((3, 3)), 1e-6).all()
-
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            count_zero_structure(np.zeros((2, 2)), 0.0)
-
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
-    def test_rejects_non_finite_eps(self, eps):
-        # nan would give an all-False mask and inf an all-True one
-        with pytest.raises(ValueError):
-            count_zero_structure(np.zeros((2, 2)), eps)
 
 
 class TestUniqueZeroAssignment:
@@ -143,7 +118,7 @@ class TestUniqueZeroAssignment:
 
     def test_masks_of_small_cost_matrices(self):
         def unique(c, eps):
-            return is_unique_zero_assignment(count_zero_structure(c, eps))
+            return is_unique_zero_assignment(c < eps)
 
         assert not unique(np.zeros((3, 3)), 1e-6)  # all-zero: many matchings
         assert not unique(np.eye(3), 0.5)  # zeros off-diagonal: 2 matchings

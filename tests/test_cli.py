@@ -207,6 +207,13 @@ class TestEpsEnvVar:
         assert main(["check", fa, fa]) == 3
         assert "positive and finite" in capsys.readouterr().err
 
+    def test_bad_eps_is_error_whatever_the_sizes(self, tmp_path, capsys):
+        # a size mismatch once printed its certificate and exited 1
+        fa = _write(tmp_path, "a.col", cycle(5))
+        fb = _write(tmp_path, "b.col", cycle(6))
+        assert main(["check", fa, fb, "--eps", "nan"]) == 3
+        assert "positive and finite" in capsys.readouterr().err
+
 
 class TestBench:
     def _json(self, capsys):

@@ -166,10 +166,25 @@ class TestIsExactIsomorphism:
             p = random_permutation(9, 100 + seed)
             assert is_exact_isomorphism(g, apply_permutation(g, p), p)
 
-    def test_diagonals_are_ignored(self):
+    def test_loops_are_compared(self):
         g = cycle(5)
         identity = Permutation(np.arange(5))
-        assert is_exact_isomorphism(perturb(g, 0, 1.0), perturb(g, 3, 2.0), identity)
+        assert not is_exact_isomorphism(perturb(g, 0, 1.0), perturb(g, 3, 2.0), identity)
+        assert is_exact_isomorphism(perturb(g, 3, 2.0), perturb(g, 3, 2.0), identity)
+        rotate = Permutation([(i + 3) % 5 for i in range(5)])  # an automorphism of C5
+        assert is_exact_isomorphism(perturb(g, 0, 2.0), perturb(g, 3, 2.0), rotate)
+        assert not is_exact_isomorphism(perturb(g, 0, 1.0), perturb(g, 3, 2.0), rotate)
+
+    def test_matches_double_loop_on_weighted_graphs_with_loops(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            w = np.triu(rng.integers(0, 3, (n, n)).astype(float))  # diagonal included
+            a = Graph(w + np.triu(w, 1).T)
+            p = Permutation(rng.permutation(n))
+            b = apply_permutation(a, p) if rng.random() < 0.5 else a
+            holds = all(b.adj[p[i], p[j]] == a.adj[i, j] for i, j in np.ndindex(n, n))
+            assert is_exact_isomorphism(a, b, p) == holds
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):

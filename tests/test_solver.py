@@ -794,6 +794,23 @@ class TestIsIsomorphicAccepts:
             assert report.outcome == ISOMORPHIC, base
             assert is_exact_isomorphism(g, b, report.permutation), base
 
+    def test_witness_checked_through_the_solver_module_name(self, monkeypatch):
+        # bench/tracing.py times the check by patching this name
+        held = []
+
+        def counted(a, b, p):
+            ok = is_exact_isomorphism(a, b, p)
+            if ok:
+                held.append((a, b, p.map.tolist()))
+            return ok
+
+        monkeypatch.setattr(solver, "is_exact_isomorphism", counted)
+        g = paley(13)
+        for a, b in ((g, rotated(g)), (g, apply_permutation(g, random_permutation(13, 77)))):
+            report = is_isomorphic(a, b)
+            assert report.outcome == ISOMORPHIC
+            assert (a, b, report.permutation.map.tolist()) in held
+
     def test_near_eps_eigenvalue_gap_grouped_alike_on_both_sides(self):
         # reweighting edge (0, 1) of cycle(6) opens gaps of about eps inside
         # its eigenvalue pairs; with each spectrum grouped on its own, 175 of
@@ -923,13 +940,15 @@ class TestInputContract:
             is_isomorphic(complete(4), h)
 
     def test_eps_must_be_positive_and_finite(self):
-        # a nan eps once rejected a graph against itself by exhaustion, and
-        # an infinite one ran a relabeling into the backtrack cap
+        # a nan eps once rejected a graph against itself by exhaustion, an
+        # infinite one ran a relabeling into the backtrack cap, and a size
+        # mismatch once answered before eps was checked
         g = paley(13)
-        for b in (g, apply_permutation(g, random_permutation(13, 1))):
+        pairs = [(g, g), (g, apply_permutation(g, random_permutation(13, 1))), (cycle(5), cycle(6))]
+        for a, b in pairs:
             for eps in (np.nan, np.inf, 0.0, -1e-6):
                 with pytest.raises(ValueError, match="positive and finite"):
-                    is_isomorphic(g, b, SolverOptions(eps=eps, max_backtrack_steps=100))
+                    is_isomorphic(a, b, SolverOptions(eps=eps, max_backtrack_steps=100))
 
     def test_max_backtrack_steps_must_be_non_negative(self):
         # a negative cap once made the SRG pair inconclusive after 1 backtrack
