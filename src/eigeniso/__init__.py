@@ -10,7 +10,6 @@ exhaustive search, as a heuristic rejection.
 """
 
 from .generators import (
-    GeneratorSpec,
     brute_force_isomorphism,
     cospectral_fixture,
     generate,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_EPS",
     "EigensolverError",
-    "GeneratorSpec",
     "Graph",
     "GraphFormatError",
     "INCONCLUSIVE",

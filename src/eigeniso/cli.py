@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .generators import FAMILIES, GeneratorSpec, generate
+from .generators import FAMILIES, generate
 from .graph import (
     Graph,
     GraphFormatError,
@@ -42,8 +42,6 @@ EXIT_ISOMORPHIC = 0
 EXIT_NOT_ISOMORPHIC = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
-
-EPS_ENV_VAR = "EIGENISO_EPS"
 
 
 @dataclass
@@ -75,22 +73,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _default_eps() -> float:
-    raw = os.environ.get(EPS_ENV_VAR)
-    if raw is None:
-        return DEFAULT_EPS
-    try:
-        return float(raw)
-    except ValueError:
-        raise GraphFormatError(f"bad {EPS_ENV_VAR} value: {raw!r}")
-
-
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--eps",
         type=float,
-        default=None,
-        help=f"numerical tolerance (default 1e-6, or ${EPS_ENV_VAR})",
+        default=DEFAULT_EPS,
+        help="numerical tolerance (default 1e-6)",
     )
     p.add_argument(
         "--max-backtrack",
@@ -102,10 +90,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _options(args: argparse.Namespace) -> SolverOptions:
-    return SolverOptions(
-        eps=args.eps if args.eps is not None else _default_eps(),
-        max_backtrack_steps=args.max_backtrack,
-    )
+    return SolverOptions(eps=args.eps, max_backtrack_steps=args.max_backtrack)
 
 
 def _two_row(perm) -> str:
@@ -170,7 +155,7 @@ def _bench_input(tokens: list[str], gen_seed: int) -> tuple[str, Graph]:
             f"not a file or family spec: {joined!r} (families: {', '.join(FAMILIES)})"
         )
     family, param = m.group(1), int(m.group(2))
-    g = generate(GeneratorSpec(family, param, seed=gen_seed))
+    g = generate(family, param, seed=gen_seed)
     return f"{family}({param})", g
 
 
@@ -229,8 +214,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = GeneratorSpec(args.family, args.parameter, seed=args.seed)
-    g = generate(spec)
+    g = generate(args.family, args.parameter, seed=args.seed)
     comment = f"{args.family} {args.parameter}" + (
         f" seed={args.seed}" if args.family == "random_gnp" else ""
     )
@@ -257,10 +241,9 @@ def _write_mask(mask: np.ndarray, out_dir: str, round_index: int) -> None:
 def cmd_dump_cost(args: argparse.Namespace) -> int:
     a = load_graph(args.file_a)
     b = load_graph(args.file_b)
-    eps = args.eps if args.eps is not None else _default_eps()
     # The search that check runs, which ends at the first verified
     # assignment; a backtrack overwrites that round's file.
-    events = search(a, b, SolverOptions(eps=eps))
+    events = search(a, b, SolverOptions(eps=args.eps))
     root = next(events)
     if not isinstance(root, SearchEvent) or root.mask is None:
         raise GraphFormatError("graphs differ in size or spectrum; nothing to dump")
@@ -343,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("file_b")
     p_dump.add_argument("--rounds", type=_non_negative, default=2)
     p_dump.add_argument("-o", "--out", required=True, metavar="DIR")
-    p_dump.add_argument("--eps", type=float, default=None)
+    p_dump.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p_dump.set_defaults(func=cmd_dump_cost)
 
     return parser

@@ -7,20 +7,11 @@ benchmarks built on them) reproduce exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
 
 from .graph import Graph, Permutation
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """A family name, its size parameter, and a seed for the random family."""
-
-    family: str
-    parameter: int
-    seed: int | None = None
 
 
 def _is_prime(q: int) -> bool:
@@ -114,12 +105,12 @@ def triangular(k: int) -> Graph:
     return Graph(adj)
 
 
-def random_gnp(n: int, seed: int | None, p: float = 0.5) -> Graph:
-    """Erdos-Renyi G(n, p) with a seeded generator."""
+def random_gnp(n: int, seed: int | None) -> Graph:
+    """Erdos-Renyi G(n, 1/2) with a seeded generator."""
     if n < 1:
         raise ValueError("random graph needs at least 1 vertex")
     rng = np.random.default_rng(seed)
-    upper = np.triu(rng.random((n, n)) < p, k=1)
+    upper = np.triu(rng.random((n, n)) < 0.5, k=1)
     adj = (upper | upper.T).astype(float)
     return Graph(adj)
 
@@ -137,15 +128,15 @@ FAMILIES = {
 }
 
 
-def generate(spec: GeneratorSpec) -> Graph:
-    """Build the graph described by a :class:`GeneratorSpec`."""
-    build = FAMILIES.get(spec.family)
+def generate(family: str, parameter: int, seed: int | None = None) -> Graph:
+    """Build a graph of the named family; only random_gnp reads the seed."""
+    build = FAMILIES.get(family)
     if build is None:
         known = ", ".join(FAMILIES)
-        raise ValueError(f"unknown family {spec.family!r}; expected one of {known}")
+        raise ValueError(f"unknown family {family!r}; expected one of {known}")
     if build is random_gnp:
-        return build(spec.parameter, spec.seed)
-    return build(spec.parameter)
+        return build(parameter, seed)
+    return build(parameter)
 
 
 # ---------------------------------------------------------------------------

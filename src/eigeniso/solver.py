@@ -455,19 +455,15 @@ def search(
         """Whether an automorphism of b fixing the pins above top maps a
         candidate top has exhausted onto j.
 
-        Stored automorphisms answer first.  Otherwise a capped search, from
-        one accepted candidate of each orbit, may find a new one.
+        Stored automorphisms answer first.  Otherwise a capped search from
+        each accepted candidate may find a new one.
         """
         nonlocal decompositions, lap_solves, inner_searches
         pins = [f.pin.j for f in stack[:-1]]
         fixing = [s for s in automorphisms if (s[pins] == pins).all()]
         if _orbit(top.candidates[: top.k - 1], fixing, n)[j]:
             return True
-        tried = np.zeros(n, dtype=bool)
         for j0 in top.accepted:
-            if tried[j0]:
-                continue
-            tried |= _orbit([j0], fixing, n)
             x, y = perturb(top.b, j0, top.w), perturb(top.b, j, top.w)
             inner = deque(search(x, y, SolverOptions(eps, _AUTOMORPHISM_BACKTRACKS)), maxlen=1)[0]
             decompositions += inner.decompositions

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from eigeniso import (
-    DEFAULT_EPS,
     Permutation,
     SolverOptions,
     apply_permutation,
@@ -20,7 +19,7 @@ from eigeniso import (
     save_graph,
     srg_fixture,
 )
-from eigeniso.cli import EPS_ENV_VAR, _default_eps, main
+from eigeniso.cli import main
 from eigeniso.generators import cfi, complete, cycle, paley, path
 from helpers import K33_EDGES
 
@@ -177,24 +176,13 @@ class TestCheck:
 
 
 class TestEpsEnvVar:
-    def test_default_reads_environment(self, monkeypatch):
-        monkeypatch.delenv(EPS_ENV_VAR, raising=False)
-        assert _default_eps() == DEFAULT_EPS
-        monkeypatch.setenv(EPS_ENV_VAR, "0.001")
-        assert _default_eps() == 0.001
+    def test_environment_is_not_read(self, tmp_path, monkeypatch):
+        # --eps is the one way to set eps; EIGENISO_EPS once set it too
+        fa, _ = _rotated_cycle_pair(tmp_path)
+        monkeypatch.setenv("EIGENISO_EPS", "nan")
+        assert main(["check", fa, fa]) == 0
 
-    def test_garbage_value_is_error(self, tmp_path, capsys, monkeypatch):
-        fa, fb = _rotated_cycle_pair(tmp_path)
-        monkeypatch.setenv(EPS_ENV_VAR, "not-a-number")
-        assert main(["check", fa, fb]) == 3
-        assert EPS_ENV_VAR in capsys.readouterr().err
-
-    def test_explicit_flag_wins(self, tmp_path, monkeypatch):
-        fa, fb = _rotated_cycle_pair(tmp_path)
-        monkeypatch.setenv(EPS_ENV_VAR, "not-a-number")
-        assert main(["check", fa, fb, "--eps", "1e-6"]) == 0
-
-    def test_non_finite_eps_is_error(self, tmp_path, capsys, monkeypatch):
+    def test_non_finite_eps_is_error(self, tmp_path, capsys):
         # a nan eps once answered "not isomorphic" for a graph against itself
         fa, _ = _rotated_cycle_pair(tmp_path)
         for flag in ("nan", "inf"):
@@ -202,9 +190,6 @@ class TestEpsEnvVar:
             assert "positive and finite" in capsys.readouterr().err
         out = str(tmp_path / "masks")
         assert main(["dump-cost", fa, fa, "--eps", "nan", "-o", out]) == 3
-        assert "positive and finite" in capsys.readouterr().err
-        monkeypatch.setenv(EPS_ENV_VAR, "nan")
-        assert main(["check", fa, fa]) == 3
         assert "positive and finite" in capsys.readouterr().err
 
     def test_bad_eps_is_error_whatever_the_sizes(self, tmp_path, capsys):

@@ -834,6 +834,64 @@ class TestIsIsomorphicAccepts:
             assert is_exact_isomorphism(g, b, report.permutation)
 
 
+class TestFallbackAndFullPin:
+    """Paths that a witness failing its check reaches.
+
+    The first k checks of a relabelled cycle(6) answer False; after two
+    pins every free row of the mask offers one B-vertex, so each further
+    level takes the lowest free A-vertex, until every vertex is pinned.
+    """
+
+    @staticmethod
+    def run(monkeypatch, k):
+        calls = []
+
+        def failing(a, b, p):
+            calls.append(p)
+            return len(calls) > k and is_exact_isomorphism(a, b, p)
+
+        monkeypatch.setattr(solver, "is_exact_isomorphism", failing)
+        g = cycle(6)
+        b = apply_permutation(g, random_permutation(6, 4))
+        *events, report = solver.search(g, b, SolverOptions())
+        return g, b, events, report, len(calls)
+
+    @staticmethod
+    def fallback_frames(events):
+        """(level, i) of each level whose parent's mask offers no free row
+        two unpinned B-vertices; every event here is accepted, one a level."""
+        out = []
+        for parent, e in zip(events, events[1:]):
+            pins = events[1 : e.level + 1]
+            offered = parent.mask.copy()
+            offered[:, [p.j for p in pins]] = False
+            free = np.setdiff1d(np.arange(len(offered)), [p.i for p in pins])
+            if offered[free].sum(axis=1).max() < 2:
+                out.append((e.level, e.i))
+        return out
+
+    def test_lowest_free_vertex_when_no_row_offers_two(self, monkeypatch):
+        g, b, events, report, calls = self.run(monkeypatch, 3)
+        assert calls == 4
+        assert report.outcome == ISOMORPHIC
+        assert all(e.accepted for e in events)
+        assert [r.i for r in report.rounds] == [0, 1, 2]
+        # one fallback frame: level 2 pins 2, the lowest free A-vertex
+        assert self.fallback_frames(events) == [(2, 2)]
+
+    def test_every_vertex_pinned_checks_the_pins_map(self, monkeypatch):
+        g, b, events, report, calls = self.run(monkeypatch, 7)
+        # the root and all six pins fail their checks; the eighth check, of
+        # the pins' own map, holds
+        assert calls == 8
+        assert report.outcome == ISOMORPHIC
+        assert len(report.rounds) == 6
+        assert all(e.accepted for e in events)
+        assert self.fallback_frames(events) == [(2, 2), (3, 3), (4, 4), (5, 5)]
+        assert all(report.permutation.map[r.i] == r.j for r in report.rounds)
+        assert is_exact_isomorphism(g, b, report.permutation)
+
+
 class TestIsIsomorphicRejects:
     def test_vertex_count_mismatch(self):
         report = is_isomorphic(cycle(5), cycle(6))
