@@ -83,7 +83,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-backtrack",
         type=_non_negative,
-        default=10**6,
+        default=SolverOptions.max_backtrack_steps,
         metavar="N",
         help="backtrack steps before giving up as inconclusive",
     )
@@ -140,12 +140,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     return code
 
 
-_SPEC_RE = re.compile(r"^([a-z_]+)\s*\(?\s*(\d+)\s*\)?$")
+_SPEC_RE = re.compile(r"^([a-z_]+)(?:\s+(\d+)|\s*\(\s*(\d+)\s*\))$")
 
 
 def _bench_input(tokens: list[str], gen_seed: int) -> tuple[str, Graph]:
-    """Resolve a bench target: an existing file path or a family spec
-    written as 'paley 17', 'paley(17)' or 'lattice(4)'."""
+    """A bench target: a graph file, or a family spec 'paley 17' or 'paley(17)'."""
     if len(tokens) == 1 and os.path.isfile(tokens[0]):
         return os.path.basename(tokens[0]), load_graph(tokens[0])
     joined = " ".join(tokens).strip().lower()
@@ -154,7 +153,7 @@ def _bench_input(tokens: list[str], gen_seed: int) -> tuple[str, Graph]:
         raise GraphFormatError(
             f"not a file or family spec: {joined!r} (families: {', '.join(FAMILIES)})"
         )
-    family, param = m.group(1), int(m.group(2))
+    family, param = m.group(1), int(m.group(2) or m.group(3))
     g = generate(family, param, seed=gen_seed)
     return f"{family}({param})", g
 

@@ -173,7 +173,7 @@ def _add_edge(adj: np.ndarray, u: int, v: int, lineno: int) -> None:
 
 
 def _parse_dimacs(lines: list[str]) -> Graph:
-    adj = None
+    adj, edges = None, 0
     for no, ln in enumerate(lines, start=1):
         parts = ln.split()
         if parts[0] == "c":
@@ -184,12 +184,11 @@ def _parse_dimacs(lines: list[str]) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphFormatError(f"line {no}: expected 'p edge <n> <m>'")
             try:
-                n = int(parts[2])
-                int(parts[3])
+                n, m = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise GraphFormatError(f"line {no}: {exc}") from exc
-            if n < 1:
-                raise GraphFormatError(f"line {no}: vertex count must be positive")
+            if n < 1 or m < 0:
+                raise GraphFormatError(f"line {no}: need n >= 1 and m >= 0")
             adj = np.zeros((n, n))
         elif parts[0] == "e":
             if adj is None:
@@ -201,10 +200,13 @@ def _parse_dimacs(lines: list[str]) -> Graph:
             except ValueError as exc:
                 raise GraphFormatError(f"line {no}: {exc}") from exc
             _add_edge(adj, u, v, no)
+            edges += 1
         else:
             raise GraphFormatError(f"line {no}: unknown line type {parts[0]!r}")
     if adj is None:
         raise GraphFormatError("missing problem line")
+    if edges != m:
+        raise GraphFormatError(f"{m} edges declared, {edges} 'e' lines found")
     return Graph(adj)
 
 

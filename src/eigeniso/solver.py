@@ -188,42 +188,26 @@ def _rank_one_costs(
 ) -> np.ndarray:
     """Costs of the pairs (ii[p], jj[p]) summed over rank-1 groups.
 
-    Column g of ``va`` and ``vb`` is the eigenvector of group g in A and B.
-    Row i of v v^T is v_i v, whose ascending-sorted copy is x u with
-    x = |v_i| and u = sort(v) when v_i >= 0, sort(-v) otherwise.  A pair's
-    cost |x u - y w| is expanded as
-    x^2 |u - w|^2 + 2 x (x - y) <u - w, w> + (x - y)^2 |w|^2, whose three
-    inner products depend only on the group and the two signs.  As u and w
-    are unit vectors up to rounding, every term is within a small factor of
-    the squared cost, so nothing cancels near zero, where eps decides (the
-    usual Gram expansion would).
+    Column g of ``va`` and ``vb`` is the unit eigenvector of group g in A
+    and B.  Row i of v v^T, sorted, is x u with x = |v_i| and u = sort(v),
+    or sort(-v) = -sort(v)[::-1] when v_i < 0.  For unit u and w,
+    <u - w, w> = -|u - w|^2 / 2, so |x u - y w|^2 = (x - y)^2 + x y |u - w|^2:
+    two nonnegative terms, nothing to cancel near zero, where eps decides.
+    Reversing both vectors keeps the norm, so per group |u - w|^2 is
+    |sort(a) - sort(b)|^2 when the pair's signs agree and
+    |sort(a) + sort(b)[::-1]|^2 when they differ.
     """
     asc_a, asc_b = np.sort(va.T, axis=1), np.sort(vb.T, axis=1)
-    # Columns indexed by 2 * (a_i < 0) + (b_j < 0), the pair's two signs.
-    dd = np.empty((va.shape[1], 4))
-    dw = np.empty_like(dd)
-    ww = np.empty((va.shape[1], 2))
-    for neg_a in (0, 1):
-        u = -asc_a[:, ::-1] if neg_a else asc_a
-        for neg_b in (0, 1):
-            w = -asc_b[:, ::-1] if neg_b else asc_b
-            diff = u - w
-            dd[:, 2 * neg_a + neg_b] = np.einsum("gn,gn->g", diff, diff)
-            dw[:, 2 * neg_a + neg_b] = np.einsum("gn,gn->g", diff, w)
-            ww[:, neg_b] = np.einsum("gn,gn->g", w, w)
-    group = np.arange(va.shape[1])
+    same, flip = asc_a - asc_b, asc_a + asc_b[:, ::-1]
+    dd_same = np.einsum("gn,gn->g", same, same)
+    dd_flip = np.einsum("gn,gn->g", flip, flip)
     out = np.empty(ii.shape[0])
     block = max(1, _PAIR_BLOCK // va.shape[1])
     for s in range(0, ii.shape[0], block):
         a_rows, b_rows = va[ii[s : s + block]], vb[jj[s : s + block]]
-        neg_b = (b_rows < 0).astype(np.intp)
-        combo = 2 * (a_rows < 0) + neg_b
+        dd = np.where((a_rows < 0) == (b_rows < 0), dd_same, dd_flip)
         x, y = np.abs(a_rows), np.abs(b_rows)
-        dx = x - y
-        sq = x * x * dd[group, combo]
-        sq += 2 * x * dx * dw[group, combo]
-        sq += dx * dx * ww[group, neg_b]
-        out[s : s + block] = np.sqrt(np.maximum(sq, 0.0)).sum(axis=1)
+        out[s : s + block] = np.sqrt((x - y) ** 2 + x * y * dd).sum(axis=1)
     return out
 
 

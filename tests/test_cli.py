@@ -232,8 +232,10 @@ class TestBench:
         assert runs[0] == runs[1]
 
     def test_bad_target_is_error(self, capsys):
-        assert main(["bench", "no_such_family", "9"]) == 3
-        assert "error:" in capsys.readouterr().err
+        # a family spec is exactly 'NAME N' or 'NAME(N)'
+        for target in (["no_such_family", "9"], ["paley17"], ["paley(17"], ["paley 17)"]):
+            assert main(["bench", *target, "--trials", "1"]) == 3, target
+            assert "error:" in capsys.readouterr().err
 
     def test_zero_trials_is_error(self, capsys):
         assert main(["bench", "cycle", "6", "--trials", "0"]) == 3

@@ -252,6 +252,8 @@ class TestFileFormats:
             "e 1 2\n",
             "p edge 0 0\n",
             "p edge 3 0\np edge 3 0\n",
+            "p edge 3 5\ne 1 2\ne 2 3\n",  # m differs from the e lines
+            "p edge 3 -2\n",
             "",
         ):
             with pytest.raises(GraphFormatError):

@@ -273,6 +273,40 @@ class TestFilteredCostMatrix:
         assert self.EPS < best <= 6.42917749433882
 
 
+class TestRankOneCosts:
+    """solver._rank_one_costs against the sorted rows of v v^T, differenced."""
+
+    @staticmethod
+    def _columns(rng, n, groups, zeros):
+        """Orthonormal columns with ``zeros`` rows of exact zeros, shuffled."""
+        q, _ = np.linalg.qr(rng.standard_normal((n - zeros, groups)))
+        return np.vstack([q, np.zeros((zeros, groups))])[rng.permutation(n)]
+
+    @staticmethod
+    def _direct(va, vb):
+        """c[i][j] = sum_g |sort(va[i,g] va[:,g]) - sort(vb[j,g] vb[:,g])|."""
+        c = 0.0
+        for v, w in zip(va.T, vb.T):
+            rows_a, rows_b = np.sort(np.outer(v, v), axis=1), np.sort(np.outer(w, w), axis=1)
+            c = c + np.linalg.norm(rows_a[:, None, :] - rows_b[None, :, :], axis=2)
+        return c
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_sorted_row_definition(self, seed):
+        rng = np.random.default_rng(seed)
+        # 50^2 pairs over 6 groups is more than one block of _PAIR_BLOCK entries
+        for n, groups, zeros in ((7, 3, 2), (12, 5, 0), (50, 6, 9)):
+            va = self._columns(rng, n, groups, zeros)
+            vb = va[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=groups)
+            # perturb the nonzero entries by 1e-10 to 1e-4, keeping unit columns
+            scale = 10.0 ** rng.uniform(-10, -4, size=groups)
+            vb = vb + (vb != 0) * scale * rng.standard_normal(vb.shape)
+            vb /= np.linalg.norm(vb, axis=0)
+            ii, jj = np.indices((n, n)).reshape(2, -1)
+            got = solver._rank_one_costs(va, vb, ii, jj).reshape(n, n)
+            assert np.abs(got - self._direct(va, vb)).max() <= 1e-14, (n, groups)
+
+
 @pytest.fixture
 def hungarian_runs(monkeypatch):
     """Hungarian solves made by the code under test: the solver makes none."""
