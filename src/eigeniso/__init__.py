@@ -39,7 +39,6 @@ from .solver import (
 )
 from .spectral import (
     DEFAULT_EPS,
-    EigensolverError,
     SpectralDecomposition,
     eigendecompose,
     group_eigenvalues,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_EPS",
-    "EigensolverError",
     "Graph",
     "GraphFormatError",
     "INCONCLUSIVE",

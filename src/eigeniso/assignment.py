@@ -1,9 +1,10 @@
-"""Dense linear assignment: Hungarian method plus zero-structure analysis.
+"""Dense linear assignment: Hungarian method and perfect matchings in a mask.
 
 The search decides a cost matrix by its sub-eps mask ``c < eps`` alone:
 does it hold a perfect matching (:func:`perfect_matching`)?  The Hungarian
 solver :func:`solve_lap` and :func:`is_unique_zero_assignment` are off that
-path; they are the reference optimum and uniqueness check.
+path; they are the reference optimum and a uniqueness check built on the
+same matcher.
 
 :func:`solve_lap` is the shortest-augmenting-path formulation of the
 Hungarian method with row/column potentials, O(n^3) overall, exact for the
@@ -136,48 +137,21 @@ def perfect_matching(mask: np.ndarray) -> np.ndarray | None:
 
 
 def is_unique_zero_assignment(mask: np.ndarray) -> bool:
-    """Decide whether a feasibility mask admits exactly one perfect matching.
+    """Whether a square boolean mask admits exactly one perfect matching.
 
-    Works by repeatedly eliminating a row or column that has a single
-    candidate left (such a pair lies in every perfect matching).  If
-    elimination consumes the whole mask the matching is provably unique;
-    if it stalls with every remaining line offering two or more candidates
-    the answer is False.  Assumes the mask has at least one perfect
-    matching; without one the stall answer False is returned as well.
-
-    Row and column counts are computed once and decremented as lines are
-    removed, so the work after the first count is one scan of the removed
-    row and column per step plus one update per removed entry.
+    Takes one matching from :func:`perfect_matching`, then for each of its
+    pairs (i, j) asks for a matching of the mask without entry (i, j).  Any
+    second matching differs from the first in some pair, so the first is
+    unique exactly when none of these calls finds one.  A mask without a
+    perfect matching gives False.
     """
     m = np.array(mask, dtype=bool)
-    n = m.shape[0]
-    if m.ndim != 2 or m.shape != (n, n):
-        raise ValueError("mask must be square")
-    row_counts = m.sum(axis=1)
-    col_counts = m.sum(axis=0)
-    # Lines with one candidate left; an entry can go stale once its line
-    # is removed, so each is checked again when popped.
-    forced = [(0, int(i)) for i in np.flatnonzero(row_counts == 1)]
-    forced += [(1, int(j)) for j in np.flatnonzero(col_counts == 1)]
-    removed = 0
-    while forced:
-        axis, line = forced.pop()
-        if axis == 0:
-            if row_counts[line] != 1:
-                continue
-            i, j = line, int(np.argmax(m[line]))
-        else:
-            if col_counts[line] != 1:
-                continue
-            i, j = int(np.argmax(m[:, line])), line
-        cols = np.flatnonzero(m[i])
-        rows = np.flatnonzero(m[:, j])
-        m[i, cols] = False
-        m[rows, j] = False
-        col_counts[cols] -= 1
-        row_counts[rows] -= 1
-        row_counts[i] = col_counts[j] = 0
-        removed += 1
-        forced += [(0, int(r)) for r in rows if row_counts[r] == 1]
-        forced += [(1, int(c)) for c in cols if col_counts[c] == 1]
-    return removed == n
+    match = perfect_matching(m)
+    if match is None:
+        return False
+    for i, j in enumerate(match.tolist()):
+        m[i, j] = False
+        if perfect_matching(m) is not None:
+            return False
+        m[i, j] = True
+    return True

@@ -1,8 +1,8 @@
 """Command-line frontend: check, bench, gen, and dump-cost subcommands.
 
 Exit codes of ``check`` follow a scriptable protocol: 0 isomorphic,
-1 not isomorphic, 2 inconclusive (backtrack cap hit), 3 and above for
-errors (bad files, bad arguments).  The other subcommands use 0/3.
+1 not isomorphic, 2 inconclusive (backtrack cap hit), 3 for any error (bad
+files or arguments, eigensolver failure, out of memory).  Others use 0/3.
 """
 
 from __future__ import annotations
@@ -336,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, OSError, ValueError) as exc:
+    except (GraphFormatError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -149,33 +149,40 @@ def perturb(g: Graph, i: int, w: float) -> Graph:
 def parse_graph(text: str) -> Graph:
     """Parse a DIMACS-style or plain edge-list document into a Graph.
 
-    The first meaningful line decides the format: a ``p edge n m`` header
+    The first non-blank line decides the format: a ``p edge n m`` header
     (possibly after ``c`` comment lines) selects DIMACS, a lone integer
-    selects the plain format.  Duplicate edges collapse; self-loops are
-    rejected (input graphs are plain).
+    selects the plain format, which takes no comment lines.  Duplicate
+    edges collapse; self-loops are rejected (input graphs are plain).
+    Errors name the line of the document, counted from 1.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise GraphFormatError("empty graph document")
-    if lines[0].startswith(("c", "p")):
+    if lines[0][1][0].startswith(("c", "p")):
         return _parse_dimacs(lines)
     return _parse_plain(lines)
 
 
-def _add_edge(adj: np.ndarray, u: int, v: int, lineno: int) -> None:
+def _ints(no: int, tokens: list[str]) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:
+        raise GraphFormatError(f"line {no}: {exc}") from exc
+
+
+def _add_edge(adj: np.ndarray, no: int, tokens: list[str]) -> None:
+    u, v = _ints(no, tokens)
     n = adj.shape[0]
     if not (1 <= u <= n and 1 <= v <= n):
-        raise GraphFormatError(f"line {lineno}: vertex index out of range 1..{n}")
+        raise GraphFormatError(f"line {no}: vertex index out of range 1..{n}")
     if u == v:
-        raise GraphFormatError(f"line {lineno}: self-loops not allowed in input graphs")
+        raise GraphFormatError(f"line {no}: self-loops not allowed in input graphs")
     adj[u - 1, v - 1] = adj[v - 1, u - 1] = 1.0
 
 
-def _parse_dimacs(lines: list[str]) -> Graph:
+def _parse_dimacs(lines: list[tuple[int, list[str]]]) -> Graph:
     adj, edges = None, 0
-    for no, ln in enumerate(lines, start=1):
-        parts = ln.split()
+    for no, parts in lines:
         if parts[0] == "c":
             continue
         if parts[0] == "p":
@@ -183,10 +190,7 @@ def _parse_dimacs(lines: list[str]) -> Graph:
                 raise GraphFormatError(f"line {no}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphFormatError(f"line {no}: expected 'p edge <n> <m>'")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise GraphFormatError(f"line {no}: {exc}") from exc
+            n, m = _ints(no, parts[2:])
             if n < 1 or m < 0:
                 raise GraphFormatError(f"line {no}: need n >= 1 and m >= 0")
             adj = np.zeros((n, n))
@@ -195,11 +199,7 @@ def _parse_dimacs(lines: list[str]) -> Graph:
                 raise GraphFormatError(f"line {no}: edge before problem line")
             if len(parts) != 3:
                 raise GraphFormatError(f"line {no}: expected 'e <u> <v>'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise GraphFormatError(f"line {no}: {exc}") from exc
-            _add_edge(adj, u, v, no)
+            _add_edge(adj, no, parts[1:])
             edges += 1
         else:
             raise GraphFormatError(f"line {no}: unknown line type {parts[0]!r}")
@@ -210,23 +210,18 @@ def _parse_dimacs(lines: list[str]) -> Graph:
     return Graph(adj)
 
 
-def _parse_plain(lines: list[str]) -> Graph:
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise GraphFormatError(f"line 1: expected a vertex count, got {lines[0]!r}") from exc
+def _parse_plain(lines: list[tuple[int, list[str]]]) -> Graph:
+    no, first = lines[0]
+    if len(first) != 1:
+        raise GraphFormatError(f"line {no}: expected a vertex count")
+    (n,) = _ints(no, first)
     if n < 1:
-        raise GraphFormatError("line 1: vertex count must be positive")
+        raise GraphFormatError(f"line {no}: vertex count must be positive")
     adj = np.zeros((n, n))
-    for no, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
+    for no, parts in lines[1:]:
         if len(parts) != 2:
             raise GraphFormatError(f"line {no}: expected '<u> <v>'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"line {no}: {exc}") from exc
-        _add_edge(adj, u, v, no)
+        _add_edge(adj, no, parts)
     return Graph(adj)
 
 

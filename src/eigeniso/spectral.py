@@ -20,10 +20,6 @@ from .graph import Graph
 DEFAULT_EPS = 1e-6
 
 
-class EigensolverError(RuntimeError):
-    """The eigensolver failed to converge; results would be meaningless."""
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix, without grouping.
@@ -65,16 +61,11 @@ def group_eigenvalues(wa, wb, eps: float) -> list[int]:
 
 
 def eigendecompose(g: Graph) -> SpectralDecomposition:
-    """Eigendecompose a graph's adjacency matrix.
+    """Eigendecompose a graph's adjacency matrix with the dense symmetric solver.
 
-    Uses the dense symmetric solver; its convergence failure is raised as
-    :class:`EigensolverError`, never returned as garbage.
+    A convergence failure raises numpy's ``LinAlgError``, a ``ValueError``.
     """
-    try:
-        w, v = np.linalg.eigh(g.adj)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
-    return SpectralDecomposition(w, v)
+    return SpectralDecomposition(*np.linalg.eigh(g.adj))
 
 
 def projection(d: SpectralDecomposition, start: int, stop: int) -> np.ndarray:

@@ -104,8 +104,8 @@ class TestUniqueZeroAssignment:
                 raise AssertionError(f"false uniqueness claim for\n{mask}")
 
     def test_agrees_with_matching_count(self):
-        # a bipartite graph with a unique perfect matching always has a
-        # line with one candidate left, so elimination decides exactly
+        # any second perfect matching differs from the first in some pair,
+        # so removing each matched pair in turn decides uniqueness exactly
         rng = np.random.default_rng(12)
         for _ in range(400):
             n = int(rng.integers(1, 7))

@@ -150,6 +150,25 @@ class TestCheck:
         assert main(["check", str(tmp_path / "no.col"), str(tmp_path / "pe.col")]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_eigensolver_failure_is_error(self, tmp_path, monkeypatch, capsys):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        fa, fb = _rotated_cycle_pair(tmp_path)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert main(["check", fa, fb]) == 3
+        assert "error: Eigenvalues did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["100000000", "p edge 100000000 0"])
+    def test_out_of_memory_is_error(self, tmp_path, header, capsys):
+        # a 10^8-vertex dense matrix asks for 71 PiB, which no address space
+        # holds, so the allocation fails at once without touching memory
+        big = tmp_path / "big.txt"
+        big.write_text(header + "\n")
+        fa, _ = _rotated_cycle_pair(tmp_path)
+        assert main(["check", str(big), fa]) == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_argument_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["check", str(tmp_path / "only_one.col")])

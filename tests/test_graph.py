@@ -265,8 +265,20 @@ class TestFileFormats:
         assert g.adj[0, 1] == 1.0 and g.adj[2, 3] == 1.0
 
     def test_plain_malformed(self):
-        for text in ("abc\n", "3\n1 2 3\n", "3\n1 9\n", "0\n"):
+        # the plain format takes no comment lines: a leading 'c' selects DIMACS
+        for text in ("abc\n", "3\n1 2 3\n", "3\n1 9\n", "0\n", "3 4\n", "c hi\n3\n1 2\n"):
             with pytest.raises(GraphFormatError):
+                parse_graph(text)
+
+    def test_errors_cite_the_document_line_after_blank_lines(self):
+        for text in (
+            "3\n\n1 2\n\n1 9\n",
+            "3\n\n1 2\n\n1 x\n",
+            "\n\np edge 3 1\n\ne 1 5\n",
+            "c hi\n\np edge 3 1\n  \ne 1 x\n",
+            "\n\n\n\n0\n",
+        ):
+            with pytest.raises(GraphFormatError, match="^line 5: "):
                 parse_graph(text)
 
     def test_writer_round_trip(self, tmp_path):
