@@ -226,15 +226,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _write_mask(mask: np.ndarray, out_dir: str, round_index: int) -> None:
     base = os.path.join(out_dir, f"mask_round{round_index}")
-    cells = mask.astype(int)
-    with open(base + ".csv", "w", encoding="utf-8") as fh:
-        for row in cells:
-            fh.write(",".join(str(x) for x in row) + "\n")
+    np.savetxt(base + ".csv", mask, fmt="%d", delimiter=",")
     # Graymap with maxval 1: white (1) marks an assignable pair.
-    with open(base + ".pgm", "w", encoding="utf-8") as fh:
-        fh.write(f"P2\n{mask.shape[1]} {mask.shape[0]}\n1\n")
-        for row in cells:
-            fh.write(" ".join(str(x) for x in row) + "\n")
+    header = f"P2\n{mask.shape[1]} {mask.shape[0]}\n1"
+    np.savetxt(base + ".pgm", mask, fmt="%d", header=header, comments="")
 
 
 def cmd_dump_cost(args: argparse.Namespace) -> int:

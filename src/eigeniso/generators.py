@@ -25,41 +25,43 @@ def _is_prime(q: int) -> bool:
     return True
 
 
+def _graph(n: int, adjacent) -> Graph:
+    """The graph on 0..n-1 joining u != v iff ``adjacent(u, v)`` or ``adjacent(v, u)``.
+
+    The rule maps the two n x n index grids to a boolean matrix.
+    """
+    rule = adjacent(*np.indices((n, n)))
+    adj = (rule | rule.T).astype(float)
+    np.fill_diagonal(adj, 0.0)
+    return Graph(adj)
+
+
 def cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices."""
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    adj = np.zeros((n, n))
-    for i in range(n):
-        adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
-    return Graph(adj)
+    return _graph(n, lambda u, v: (v - u) % n == 1)
 
 
 def path(n: int) -> Graph:
     """Path on n vertices."""
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
-    adj = np.zeros((n, n))
-    for i in range(n - 1):
-        adj[i, i + 1] = adj[i + 1, i] = 1.0
-    return Graph(adj)
+    return _graph(n, lambda u, v: v - u == 1)
 
 
 def complete(n: int) -> Graph:
     """Complete graph on n vertices."""
     if n < 1:
         raise ValueError("complete graph needs at least 1 vertex")
-    adj = np.ones((n, n)) - np.eye(n)
-    return Graph(adj)
+    return _graph(n, lambda u, v: u != v)
 
 
 def star(k: int) -> Graph:
     """Star with k leaves (k+1 vertices, vertex 0 is the center)."""
     if k < 1:
         raise ValueError("star needs at least 1 leaf")
-    adj = np.zeros((k + 1, k + 1))
-    adj[0, 1:] = adj[1:, 0] = 1.0
-    return Graph(adj)
+    return _graph(k + 1, lambda u, v: u == 0)
 
 
 def paley(q: int) -> Graph:
@@ -69,40 +71,24 @@ def paley(q: int) -> Graph:
     """
     if not _is_prime(q) or q % 4 != 1:
         raise ValueError(f"paley parameter must be a prime = 1 (mod 4), got {q}")
-    residues = {(x * x) % q for x in range(1, q)}
-    adj = np.zeros((q, q))
-    for u in range(q):
-        for v in range(u + 1, q):
-            if (u - v) % q in residues:
-                adj[u, v] = adj[v, u] = 1.0
-    return Graph(adj)
+    square = np.zeros(q, dtype=bool)
+    square[np.arange(1, q) ** 2 % q] = True
+    return _graph(q, lambda u, v: square[(u - v) % q])
 
 
 def lattice(k: int) -> Graph:
     """Rook's graph on a k x k grid: cells adjacent iff same row or column."""
     if k < 2:
         raise ValueError("lattice needs k >= 2")
-    n = k * k
-    adj = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if i // k == j // k or i % k == j % k:
-                adj[i, j] = adj[j, i] = 1.0
-    return Graph(adj)
+    return _graph(k * k, lambda u, v: (u // k == v // k) | (u % k == v % k))
 
 
 def triangular(k: int) -> Graph:
     """Triangular graph: vertices are 2-subsets of {1..k}, adjacent iff they meet."""
     if k < 3:
         raise ValueError("triangular needs k >= 3")
-    pairs = list(combinations(range(k), 2))
-    n = len(pairs)
-    adj = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if set(pairs[i]) & set(pairs[j]):
-                adj[i, j] = adj[j, i] = 1.0
-    return Graph(adj)
+    pairs = np.array(list(combinations(range(k), 2)))  # vertex i is the subset pairs[i]
+    return _graph(len(pairs), lambda u, v: (pairs[u, :, None] == pairs[v, None]).any(axis=(2, 3)))
 
 
 def random_gnp(n: int, seed: int | None) -> Graph:
@@ -151,10 +137,7 @@ def cospectral_fixture() -> tuple[Graph, Graph]:
     spectrum {-2, 0, 0, 0, 2}, so the eigenvalue quick-reject cannot tell
     them apart, but their degree sequences (and graphs) differ.
     """
-    c4_k1 = np.zeros((5, 5))
-    for u, v in ((0, 1), (1, 2), (2, 3), (3, 0)):
-        c4_k1[u, v] = c4_k1[v, u] = 1.0
-    return star(4), Graph(c4_k1)
+    return star(4), Graph(np.pad(cycle(4).adj, (0, 1)))
 
 
 def shrikhande() -> Graph:
@@ -164,13 +147,9 @@ def shrikhande() -> Graph:
     rook's graph yet not isomorphic to it; the pair is indistinguishable
     by spectra and by unperturbed projector costs.
     """
-    diffs = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-    adj = np.zeros((16, 16))
-    for i in range(16):
-        for j in range(16):
-            if i != j and ((i // 4 - j // 4) % 4, (i % 4 - j % 4) % 4) in diffs:
-                adj[i, j] = 1.0
-    return Graph(adj)
+    step = np.zeros((4, 4), dtype=bool)
+    step[[1, 0, 1], [0, 1, 1]] = True  # 10, 01 and 11; _graph adds their negatives
+    return _graph(16, lambda u, v: step[(u // 4 - v // 4) % 4, (u % 4 - v % 4) % 4])
 
 
 def srg_fixture() -> tuple[Graph, Graph]:

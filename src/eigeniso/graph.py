@@ -153,9 +153,9 @@ def parse_graph(text: str) -> Graph:
     (possibly after ``c`` comment lines) selects DIMACS, a lone integer
     selects the plain format, which takes no comment lines.  Duplicate
     edges collapse; self-loops are rejected (input graphs are plain).
-    Errors name the line of the document, counted from 1.
+    Errors name the line of the document, counted from 1; only a newline ends one.
     """
-    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = [(no, ln.split()) for no, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
         raise GraphFormatError("empty graph document")
     if lines[0][1][0].startswith(("c", "p")):

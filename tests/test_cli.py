@@ -299,6 +299,15 @@ class TestDumpCost:
         body = np.array([[int(x) for x in row.split()] for row in lines[3:]])
         assert np.array_equal(body, self._mask(out, 1))
 
+    def test_files_byte_for_byte(self, tmp_path):
+        # the two end vertices of P3 share a projector row; the root verifies
+        fa = _write(tmp_path, "a.col", path(3))
+        out = tmp_path / "masks"
+        assert main(["dump-cost", fa, fa, "-o", str(out)]) == 0
+        assert (out / "mask_round0.csv").read_bytes() == b"1,0,1\n0,1,0\n1,0,1\n"
+        assert (out / "mask_round0.pgm").read_bytes() == b"P2\n3 3\n1\n1 0 1\n0 1 0\n1 0 1\n"
+        assert sorted(p.name for p in out.iterdir()) == ["mask_round0.csv", "mask_round0.pgm"]
+
     def test_root_mismatch_writes_nothing(self, tmp_path, capsys):
         fa = _write(tmp_path, "a.col", complete(3))
         fb = _write(tmp_path, "b.col", path(3))

@@ -1,5 +1,7 @@
 """Graph family generators, fixtures, and the brute-force oracle."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,67 @@ class TestFamilies:
     def test_generate_deterministic(self):
         a, b = generate("random_gnp", 10, seed=9), generate("random_gnp", 10, seed=9)
         assert np.array_equal(a.adj, b.adj)
+
+
+def _reference(n, joined):
+    """The 0/1 matrix joining each pair u < v for which ``joined(u, v)`` holds."""
+    adj = np.zeros((n, n))
+    for u, v in combinations(range(n), 2):
+        if joined(u, v):
+            adj[u, v] = adj[v, u] = 1.0
+    return adj
+
+
+class TestFamiliesMatchDefinitions:
+    """Each builder against its definition, evaluated pair by pair."""
+
+    @staticmethod
+    def _check(g, n, joined):
+        assert g.adj.dtype == float
+        assert np.array_equal(g.adj, _reference(n, joined))
+
+    def test_cycle(self):
+        for n in range(3, 13):  # C3 is where a modular rule slips
+            edges = {frozenset((i, (i + 1) % n)) for i in range(n)}
+            self._check(cycle(n), n, lambda u, v: {u, v} in edges)
+
+    def test_path(self):
+        for n in range(1, 13):
+            self._check(path(n), n, lambda u, v: v == u + 1)
+
+    def test_complete_and_star(self):
+        for n in range(1, 9):
+            self._check(complete(n), n, lambda u, v: True)
+            self._check(star(n), n + 1, lambda u, v: u == 0)
+
+    def test_paley(self):
+        for q in (5, 13, 17, 29):
+            residues = {x * x % q for x in range(1, q)}
+            self._check(paley(q), q, lambda u, v: (v - u) % q in residues)
+
+    def test_lattice(self):
+        for k in range(2, 7):  # cell u is (row, column) = divmod(u, k)
+            self._check(
+                lattice(k), k * k, lambda u, v: 0 in np.subtract(divmod(u, k), divmod(v, k))
+            )
+
+    def test_triangular(self):
+        for k in range(3, 9):
+            subsets = [set(s) for s in combinations(range(k), 2)]
+            self._check(triangular(k), len(subsets), lambda u, v: bool(subsets[u] & subsets[v]))
+
+    def test_shrikhande(self):
+        # Z4 x Z4, vertex i = (i // 4, i % 4); differences 10, 01, 11 and their negatives
+        diffs = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+        self._check(
+            shrikhande(), 16, lambda u, v: ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in diffs
+        )
+
+    def test_cospectral_fixture(self):
+        a, b = cospectral_fixture()
+        self._check(a, 5, lambda u, v: u == 0)  # K1,4
+        c4 = {(0, 1), (1, 2), (2, 3), (0, 3)}  # vertex 4 is isolated
+        self._check(b, 5, lambda u, v: (u, v) in c4)
 
 
 class TestPaleySelfCost:

@@ -281,6 +281,15 @@ class TestFileFormats:
             with pytest.raises(GraphFormatError, match="^line 5: "):
                 parse_graph(text)
 
+    def test_only_newline_ends_a_line(self):
+        # str.splitlines also breaks at these; inside a line they are whitespace
+        for ch in ("\x0c", "\x85", "\u2028"):
+            for head, edge in (("3", ""), ("p edge 3 2", "e ")):
+                text = f"{head}\n{edge}1 2{ch}\n{edge}1 {{}}\n"
+                assert parse_graph(text.format(3)).edge_count() == 2
+                with pytest.raises(GraphFormatError, match="^line 3: "):
+                    parse_graph(text.format(9))
+
     def test_writer_round_trip(self, tmp_path):
         g = cycle(9)
         text = format_graph(g, comment="nine cycle")
