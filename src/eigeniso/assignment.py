@@ -11,6 +11,9 @@ Hungarian method with row/column potentials, O(n^3) overall, exact for the
 given floating-point costs (no approximation step).  Ties between equally
 cheap columns resolve toward the lowest column index, which keeps runs
 reproducible; on an all-zero matrix the result is the identity.
+
+:func:`solve_lap` and the search's decision both add costs first to last
+(:func:`_sequential_sum`), so an accepted cost compares with the optimum.
 """
 
 from __future__ import annotations
@@ -75,12 +78,13 @@ def solve_lap(c: np.ndarray) -> LapSolution:
             j0 = j1
 
     row_to_col = np.empty(n, dtype=int)
-    for j in range(1, n + 1):
-        row_to_col[p[j] - 1] = j - 1
-    cost = 0.0
-    for i in range(n):
-        cost += c[i, row_to_col[i]]
-    return LapSolution(Permutation(row_to_col), float(cost))
+    row_to_col[p[1:] - 1] = np.arange(n)
+    return LapSolution(Permutation(row_to_col), _sequential_sum(c[np.arange(n), row_to_col]))
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """Add first to last; smaller terms, one by one, never give a larger sum."""
+    return float(np.add.accumulate(values)[-1])
 
 
 def perfect_matching(mask: np.ndarray) -> np.ndarray | None:

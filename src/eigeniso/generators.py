@@ -95,10 +95,8 @@ def random_gnp(n: int, seed: int | None) -> Graph:
     """Erdos-Renyi G(n, 1/2) with a seeded generator."""
     if n < 1:
         raise ValueError("random graph needs at least 1 vertex")
-    rng = np.random.default_rng(seed)
-    upper = np.triu(rng.random((n, n)) < 0.5, k=1)
-    adj = (upper | upper.T).astype(float)
-    return Graph(adj)
+    draws = np.random.default_rng(seed).random((n, n)) < 0.5
+    return _graph(n, lambda u, v: (u < v) & draws[u, v])
 
 
 # Family name -> builder of one size parameter; random_gnp also takes the seed.
@@ -195,10 +193,9 @@ def cfi(base_edges, twist: bool = False) -> Graph:
     for k, (u, v) in enumerate(edges):
         cross = int(twist and k == 0)
         links += [(end[u, k, bit], end[v, k, bit ^ cross]) for bit in (0, 1)]
-    adj = np.zeros((n, n))
-    for x, y in links:
-        adj[x, y] = adj[y, x] = 1.0
-    return Graph(adj)
+    linked = np.zeros((n, n), dtype=bool)
+    linked[tuple(zip(*links))] = True
+    return _graph(n, lambda u, v: linked[u, v])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 
 
 class GraphFormatError(ValueError):
-    """Raised for malformed graph or permutation files."""
+    """Raised for malformed graph files."""
 
 
 class Graph:
@@ -84,14 +84,6 @@ class Permutation:
     def to_line(self) -> str:
         """One-line file form: n space-separated 1-based images."""
         return " ".join(str(int(x) + 1) for x in self.map)
-
-    @classmethod
-    def from_line(cls, text: str) -> "Permutation":
-        try:
-            images = [int(tok) - 1 for tok in text.split()]
-        except ValueError as exc:
-            raise GraphFormatError(f"bad permutation line: {exc}") from exc
-        return cls(images)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Permutation({self.map.tolist()})"
@@ -237,7 +229,7 @@ def format_graph(g: Graph, comment: str | None = None) -> str:
 
 
 def load_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_graph(fh.read())
 
 

@@ -7,41 +7,42 @@ Both sides of a pair use one partition, cut only where both spectra have a
 gap of at least eps, and one function, :func:`_decide`, decides every cost
 matrix.  Repeated eigenvalues leave the assignment ambiguous, so the search
 pins level by level.  Level L takes the free vertex i of A whose row of the
-last accepted mask offers the fewest unpinned B-vertices, at least two (the
-lowest free index when no row offers two), puts a self-loop of weight
+last accepted mask offers the fewest B-vertices, at least two (the lowest
+free index when no row offers two), puts a self-loop of weight
 base + L + 1 on it, base being the largest loop weight of the inputs, and
 scans those B-vertices for a partner whose equally pinned graph keeps a
-perfect matching in the sub-eps mask.  Each level is a frame on a stack;
-an accepted pin pushes the next frame, and a level out of candidates pops
-its frame and the pin above it (backtracking).  Each accepted cost matrix
-comes with the mask's matching as its assignment, and the search ends at
-the first one, at the root or at a pin, that maps the inputs onto each
-other entry for entry, diagonal included (:func:`is_exact_isomorphism`);
-with every vertex pinned, the pins' own map is checked too.
-:func:`search` yields one event per candidate and the report last;
-:func:`is_isomorphic` reads the report, ``dump-cost`` the events' masks.
+perfect matching in the sub-eps mask.  No row offers a pinned B-vertex, set
+apart by its heavy loop; one offered at an eps far above rounding would only
+be one more candidate.  Each level is a frame on a stack; an accepted pin
+pushes the next frame, and a level out of candidates pops its frame and the
+pin above it (backtracking).  Each accepted cost matrix comes with the
+mask's matching as its assignment, and the search ends at the first one, at
+the root or at a pin, that maps the inputs onto each other entry for entry,
+diagonal included (:func:`is_exact_isomorphism`); with every vertex pinned,
+the pins' own map is checked too.  :func:`search` yields one event per
+candidate and the report last; :func:`is_isomorphic` reads the report,
+``dump-cost`` the events' masks.
 
 What exhaustion proves.  Every rejection in the search is a necessary
 condition failing: the pinned spectra differ by more than eps, or the
 sub-eps mask has no perfect matching.  Let pi be an isomorphism extending
 the pins so far.  The pinned graphs are isomorphic through pi, so every
 c[x][pi(x)] is zero up to rounding and pi lies in the mask; level L's
-candidates, the row of its vertex i minus the B-vertices already pinned
-(images of pinned A-vertices), contain pi(i), and the pin (i, pi(i)) passes
-both tests.  Level L also skips a candidate j when an automorphism sigma of
-B that fixes every pinned B-vertex maps a candidate j0 it has exhausted onto
-j: were pi(i) = j, then sigma^-1 pi would extend the pins with (i, j0),
-which j0's exhaustion ruled out.  Each sigma comes from a search of this
-kind, capped at a few backtracks, between B pinned at j0 and B pinned at j
-with level L's weight, and is kept only once it maps the one onto the other
-entry for entry, diagonal included, fixes the pins and sends j0 to j; the
-group of the kept ones that fix the pins gives the orbits.  The orbit step
-thus adds no numerical premise.  By induction an exhausted tree rules out
-every isomorphism, provided a true isomorphism's entries c[x][pi(x)] stay
-below eps.  That premise is numerical: rounding must stay far below eps,
-and both sides must be grouped alike, which the shared partition ensures.
-As the premise is not checked, exhaustion is reported as reason
-``"exhaustion"``, a heuristic.
+candidates, the row of its vertex i, contain pi(i), and the pin (i, pi(i))
+passes both tests.  Level L also skips a candidate j when an automorphism
+sigma of B that fixes every pinned B-vertex maps a candidate j0 it has
+exhausted onto j: were pi(i) = j, then sigma^-1 pi would extend the pins
+with (i, j0), which j0's exhaustion ruled out.  Each sigma comes from a
+search of this kind, capped at a few backtracks, between B pinned at j0 and
+B pinned at j with level L's weight, and is kept only once it maps the one
+onto the other entry for entry, diagonal included, fixes the pins and sends
+j0 to j; the group of the kept ones that fix the pins gives the orbits.  The
+orbit step thus adds no numerical premise.  By induction an exhausted tree
+rules out every isomorphism, provided a true isomorphism's entries
+c[x][pi(x)] stay below eps.  That premise is numerical: rounding must stay
+far below eps, and both sides must be grouped alike, which the shared
+partition ensures.  As the premise is not checked, exhaustion is reported as
+reason ``"exhaustion"``, a heuristic.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import perfect_matching
+from .assignment import _sequential_sum, perfect_matching
 from .graph import Graph, Permutation, is_exact_isomorphism, perturb
 from .spectral import (
     DEFAULT_EPS,
@@ -263,11 +264,6 @@ def build_cost_matrix(
     return c
 
 
-def _sequential_sum(values: np.ndarray) -> float:
-    """Add first to last; smaller terms, one by one, never give a larger sum."""
-    return float(np.add.accumulate(values)[-1])
-
-
 def _decide(c: np.ndarray, eps: float) -> tuple[float, Permutation | None, np.ndarray]:
     """Decide cost matrix ``c`` by its sub-eps mask ``c < eps`` alone.
 
@@ -387,8 +383,8 @@ def search(
     as pins of an outer search; every witness is checked by
     :func:`is_exact_isomorphism` on the full matrices, so it maps them too,
     and every pin weighs more than any of them.  Each level pins the free
-    A-vertex whose row of its parent's mask offers the fewest unpinned
-    B-vertices, at least two, and tries those (see the module docstring).
+    A-vertex whose row of its parent's mask offers the fewest B-vertices,
+    at least two, and tries those (see the module docstring).
     The searches for automorphisms that prune candidates are searches of
     this kind; their work is counted in the report, not streamed.
     """
@@ -423,16 +419,14 @@ def search(
 
     def frame(a_prev: Graph, b_prev: Graph, mask: np.ndarray) -> _Frame:
         """The next level: the free A-vertex offered the fewest B-vertices, at least two."""
-        offered = mask.copy()
-        offered[:, [f.pin.j for f in stack]] = False
         taken = np.zeros(n, dtype=bool)
         taken[[f.i for f in stack]] = True
-        sizes = offered.sum(axis=1)
+        sizes = mask.sum(axis=1)
         sizes[taken | (sizes < 2)] = n + 1
         i = int(sizes.argmin()) if sizes.min() <= n else int(taken.argmin())
         w = base + len(stack) + 1.0
         a_pinned = perturb(a_prev, i, w)
-        candidates = np.flatnonzero(offered[i]).tolist()
+        candidates = np.flatnonzero(mask[i]).tolist()
         return _Frame(i, w, a_pinned, eigendecompose(a_pinned), b_prev, candidates)
 
     def symmetric(top: _Frame, j: int) -> bool:
@@ -509,16 +503,17 @@ def search(
                 stack.append(frame(top.a, b_pinned, mask))
                 decompositions += 1
                 continue
-            # Every vertex is pinned.  On 0/1 input the mask is then the pins'
-            # own map, but with weights and a spectral radius above 1/(2 eps)
-            # the diagonal bound does not force that, so it is checked too.
-            images = np.empty(n, dtype=int)
-            for f in stack:
-                images[f.i] = f.pin.j
-            witness = Permutation(images)
-            if is_exact_isomorphism(a, b, witness):
-                yield report(ISOMORPHIC, witness)
-                return
+            # Every vertex is pinned.  Below a spectral radius of 1/(2 eps) the
+            # mask is then the pins' own map; above it the diagonal bound does
+            # not force that, so the pins are checked too, unless one pinned a
+            # B-vertex twice (possible only there) and so maps nothing.
+            if len({f.pin.j for f in stack}) == n:
+                images = np.empty(n, dtype=int)
+                images[[f.i for f in stack]] = [f.pin.j for f in stack]
+                witness = Permutation(images)
+                if is_exact_isomorphism(a, b, witness):
+                    yield report(ISOMORPHIC, witness)
+                    return
             # Complete but invalid: drop it and keep scanning this level.
         backtracks += 1
         if backtracks > opts.max_backtrack_steps:

@@ -38,6 +38,20 @@ class TestSolveLap:
             # reported cost is exactly the row-order sum
             assert sol.cost == sum(c[i, sol.assignment[i]] for i in range(6))
 
+    def test_cost_adds_in_row_order(self):
+        # the search's accepted costs add the same way (first row to last)
+        rng = np.random.default_rng(19)
+        for k in range(500):
+            n = int(rng.integers(1, 16))
+            c = rng.random((n, n)) * 10.0 ** rng.integers(-9, 3, (n, n))
+            if k % 2:  # tied entries: few distinct values
+                c = rng.choice([0.0, 0.1, 0.3, 1e-7, 2.5], (n, n))
+            sol = solve_lap(c)
+            total = 0.0
+            for i in range(n):
+                total += c[i, sol.assignment[i]]
+            assert sol.cost.hex() == total.hex()
+
     def test_row_constant_shift(self):
         rng = np.random.default_rng(9)
         c = rng.random((7, 7))

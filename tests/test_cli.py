@@ -77,7 +77,7 @@ class TestCheck:
         out = capsys.readouterr().out
         assert out.startswith("isomorphic")
         line = next(l for l in out.splitlines() if l.startswith("permutation: "))
-        perm = Permutation.from_line(line.removeprefix("permutation: "))
+        perm = Permutation([int(x) - 1 for x in line.removeprefix("permutation: ").split()])
         assert is_exact_isomorphism(load_graph(fa), load_graph(fb), perm)
         # a rotation is an automorphism of the cycle: verified at the root
         assert "stats: rounds=0 backtracks=0 decompositions=2 lap_solves=1" in out

@@ -167,6 +167,13 @@ class TestFamiliesMatchDefinitions:
             shrikhande(), 16, lambda u, v: ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in diffs
         )
 
+    def test_random_gnp(self):
+        # each pair u < v is joined when its draw of one seeded n x n sample is below 1/2
+        for n in (1, 2, 7, 150):
+            for seed in range(5):
+                draws = np.random.default_rng(seed).random((n, n))
+                self._check(random_gnp(n, seed), n, lambda u, v: draws[u, v] < 0.5)
+
     def test_cospectral_fixture(self):
         a, b = cospectral_fixture()
         self._check(a, 5, lambda u, v: u == 0)  # K1,4

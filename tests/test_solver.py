@@ -925,6 +925,22 @@ class TestFallbackAndFullPin:
         assert all(report.permutation.map[r.i] == r.j for r in report.rounds)
         assert is_exact_isomorphism(g, b, report.permutation)
 
+    def test_loose_eps_pins_a_b_vertex_twice(self):
+        # at eps = 2 a pin's loop no longer sets its B-vertex apart, so a mask
+        # offers it again; pins that fill every level but repeat a B-vertex
+        # are no bijection and are skipped, not checked
+        g = path(3)
+        b = apply_permutation(g, random_permutation(3, 0))
+        *events, report = solver.search(g, b, SolverOptions(eps=2.0))
+        pins, full_repeated = [], 0
+        for e in events:
+            if e.level is not None and e.accepted:
+                pins[e.level :] = [e.j]
+                full_repeated += len(pins) == 3 and len(set(pins)) < 3
+        assert full_repeated > 0
+        assert report.outcome == ISOMORPHIC
+        assert is_exact_isomorphism(g, b, report.permutation)
+
 
 class TestIsIsomorphicRejects:
     def test_vertex_count_mismatch(self):
