@@ -7,42 +7,43 @@ Both sides of a pair use one partition, cut only where both spectra have a
 gap of at least eps, and one function, :func:`_decide`, decides every cost
 matrix.  Repeated eigenvalues leave the assignment ambiguous, so the search
 pins level by level.  Level L takes the free vertex i of A whose row of the
-last accepted mask offers the fewest B-vertices, at least two (the lowest
-free index when no row offers two), puts a self-loop of weight
-base + L + 1 on it, base being the largest loop weight of the inputs, and
-scans those B-vertices for a partner whose equally pinned graph keeps a
-perfect matching in the sub-eps mask.  No row offers a pinned B-vertex, set
-apart by its heavy loop; one offered at an eps far above rounding would only
-be one more candidate.  Each level is a frame on a stack; an accepted pin
-pushes the next frame, and a level out of candidates pops its frame and the
-pin above it (backtracking).  Each accepted cost matrix comes with the
-mask's matching as its assignment, and the search ends at the first one, at
-the root or at a pin, that maps the inputs onto each other entry for entry,
-diagonal included (:func:`is_exact_isomorphism`); with every vertex pinned,
-the pins' own map is checked too.  :func:`search` yields one event per
-candidate and the report last; :func:`is_isomorphic` reads the report,
-``dump-cost`` the events' masks.
+last accepted mask offers the fewest B-vertices, at least two, puts a
+self-loop of weight base + L + 1 on it, base being the largest loop weight
+of the inputs, and scans those B-vertices for a partner whose equally
+pinned graph keeps a perfect matching in the sub-eps mask.  No row offers a
+pinned B-vertex, set apart by its heavy loop; one offered at an eps far
+above rounding would only be one more candidate.  Each level is a frame on
+a stack; an accepted pin pushes the next frame, and a level out of
+candidates pops its frame and the pin above it (backtracking).  Each
+accepted cost matrix comes with the mask's matching as its assignment, and
+the search ends at the first one, at the root or at a pin, that maps the
+inputs onto each other entry for entry, diagonal included
+(:func:`is_exact_isomorphism`).  A mask in which no free row offers two
+B-vertices forces the map, pinned rows to their pins and free rows to their
+one entry; that map alone is checked, and a pin whose map fails is a dead
+end.  :func:`search` yields one event per candidate and the report last;
+:func:`is_isomorphic` reads the report, ``dump-cost`` the events' masks.
 
 What exhaustion proves.  Every rejection in the search is a necessary
 condition failing: the pinned spectra differ by more than eps, or the
 sub-eps mask has no perfect matching.  Let pi be an isomorphism extending
 the pins so far.  The pinned graphs are isomorphic through pi, so every
-c[x][pi(x)] is zero up to rounding and pi lies in the mask; level L's
-candidates, the row of its vertex i, contain pi(i), and the pin (i, pi(i))
-passes both tests.  Level L also skips a candidate j when an automorphism
-sigma of B that fixes every pinned B-vertex maps a candidate j0 it has
-exhausted onto j: were pi(i) = j, then sigma^-1 pi would extend the pins
-with (i, j0), which j0's exhaustion ruled out.  Each sigma comes from a
-search of this kind, capped at a few backtracks, between B pinned at j0 and
-B pinned at j with level L's weight, and is kept only once it maps the one
-onto the other entry for entry, diagonal included, fixes the pins and sends
-j0 to j; the group of the kept ones that fix the pins gives the orbits.  The
-orbit step thus adds no numerical premise.  By induction an exhausted tree
-rules out every isomorphism, provided a true isomorphism's entries
-c[x][pi(x)] stay below eps.  That premise is numerical: rounding must stay
-far below eps, and both sides must be grouped alike, which the shared
-partition ensures.  As the premise is not checked, exhaustion is reported as
-reason ``"exhaustion"``, a heuristic.
+c[x][pi(x)] is zero up to rounding and pi lies in the mask: a forced map is
+pi, else level L's candidates, the row of its vertex i, contain pi(i), and
+the pin (i, pi(i)) passes both tests.  Level L also skips a candidate j when
+an automorphism sigma of B that fixes every pinned B-vertex maps a candidate
+j0 it has exhausted onto j: were pi(i) = j, then sigma^-1 pi would extend
+the pins with (i, j0), which j0's exhaustion ruled out.  Each sigma comes
+from a search of this kind, capped at a few backtracks, between B pinned at
+j0 and B pinned at j with level L's weight, and is kept only once it maps
+the one onto the other entry for entry, diagonal included, fixes the pins
+and sends j0 to j; the group of the kept ones that fix the pins gives the
+orbits.  The orbit step thus adds no numerical premise.  By induction an
+exhausted tree rules out every isomorphism, provided a true isomorphism's
+entries c[x][pi(x)] stay below eps.  That premise is numerical: rounding
+must stay far below eps, and both sides must be grouped alike, which the
+shared partition ensures.  As the premise is not checked, exhaustion is
+reported as reason ``"exhaustion"``, a heuristic.
 """
 
 from __future__ import annotations
@@ -384,9 +385,10 @@ def search(
     :func:`is_exact_isomorphism` on the full matrices, so it maps them too,
     and every pin weighs more than any of them.  Each level pins the free
     A-vertex whose row of its parent's mask offers the fewest B-vertices,
-    at least two, and tries those (see the module docstring).
-    The searches for automorphisms that prune candidates are searches of
-    this kind; their work is counted in the report, not streamed.
+    at least two, and tries those, or checks the one map that a mask
+    without such a row forces (see the module docstring).  The searches for
+    automorphisms that prune candidates are searches of this kind; their
+    work is counted in the report, not streamed.
     """
     eps = opts.eps
     if not 0 < eps < np.inf:
@@ -417,16 +419,19 @@ def search(
             inner_searches=inner_searches,
         )
 
-    def frame(a_prev: Graph, b_prev: Graph, mask: np.ndarray) -> _Frame:
-        """The next level: the free A-vertex offered the fewest B-vertices, at least two."""
-        taken = np.zeros(n, dtype=bool)
-        taken[[f.i for f in stack]] = True
+    def frame(a_prev: Graph, b_prev: Graph, mask: np.ndarray) -> _Frame | None:
+        """Next level: the free A-vertex offered the fewest B-vertices, at least two; else None."""
+        nonlocal decompositions
         sizes = mask.sum(axis=1)
-        sizes[taken | (sizes < 2)] = n + 1
-        i = int(sizes.argmin()) if sizes.min() <= n else int(taken.argmin())
+        sizes[sizes < 2] = n + 1
+        sizes[[f.i for f in stack]] = n + 1
+        if sizes.min() > n:
+            return None
+        i = int(sizes.argmin())
         w = base + len(stack) + 1.0
         a_pinned = perturb(a_prev, i, w)
         candidates = np.flatnonzero(mask[i]).tolist()
+        decompositions += 1
         return _Frame(i, w, a_pinned, eigendecompose(a_pinned), b_prev, candidates)
 
     def symmetric(top: _Frame, j: int) -> bool:
@@ -469,17 +474,16 @@ def search(
 
     # Pins weigh more than any loop of the inputs; set once a pin is needed.
     base = max(np.abs(np.diag(a.adj)).max(), np.abs(np.diag(b.adj)).max())
-    stack.append(frame(a, b, mask))
-    decompositions += 1
-    while True:
+    if (top := frame(a, b, mask)) is not None:  # else the mask is the failed matching
+        stack.append(top)
+    while stack:
         top = stack[-1]
         level = len(stack) - 1
         if top.k == len(top.candidates):
             # The level ran dry: drop its frame and the round above it.
             stack.pop()
             if not stack:
-                yield report(NOT_ISOMORPHIC, reason="exhaustion")
-                return
+                break
         else:
             j = top.candidates[top.k]
             top.k += 1
@@ -499,27 +503,22 @@ def search(
             if is_exact_isomorphism(a, b, perm):
                 yield report(ISOMORPHIC, perm)
                 return
-            if level + 1 < n:
-                stack.append(frame(top.a, b_pinned, mask))
-                decompositions += 1
+            if (child := frame(top.a, b_pinned, mask)) is not None:
+                stack.append(child)
                 continue
-            # Every vertex is pinned.  Below a spectral radius of 1/(2 eps) the
-            # mask is then the pins' own map; above it the diagonal bound does
-            # not force that, so the pins are checked too, unless one pinned a
-            # B-vertex twice (possible only there) and so maps nothing.
-            if len({f.pin.j for f in stack}) == n:
-                images = np.empty(n, dtype=int)
-                images[[f.i for f in stack]] = [f.pin.j for f in stack]
-                witness = Permutation(images)
-                if is_exact_isomorphism(a, b, witness):
-                    yield report(ISOMORPHIC, witness)
-                    return
-            # Complete but invalid: drop it and keep scanning this level.
+            # The mask forces the map; if it fails, the pin is a dead end.
+            images = mask.argmax(axis=1)
+            images[[f.i for f in stack]] = [f.pin.j for f in stack]
+            perm = Permutation(images) if np.unique(images).size == n else None
+            if perm is not None and is_exact_isomorphism(a, b, perm):
+                yield report(ISOMORPHIC, perm)
+                return
         backtracks += 1
         if backtracks > opts.max_backtrack_steps:
             yield report(INCONCLUSIVE, reason="backtrack_cap")
             return
         stack[-1].pin = None
+    yield report(NOT_ISOMORPHIC, reason="exhaustion")
 
 
 def is_isomorphic(a: Graph, b: Graph, opts: SolverOptions | None = None) -> SolveReport:

@@ -25,6 +25,7 @@ from eigeniso import (
 )
 from eigeniso import assignment, solver
 from eigeniso.generators import (
+    brute_force_isomorphism,
     cfi,
     complete,
     cycle,
@@ -524,13 +525,26 @@ def _assert_costs_by_contract(report, reference, eps, name):
 
 def _fail_first(mask, rounds):
     """The A-vertex a level pins: the free row of the parent's mask offering
-    the fewest unpinned B-vertices, at least two, else the lowest free row."""
+    the fewest unpinned B-vertices, at least two; None when no row offers two."""
     pinned_a = {i for i, *_ in rounds}
     pinned_b = {j for _, j, *_ in rounds}
     free = [i for i in range(mask.shape[0]) if i not in pinned_a]
     sizes = {i: sum(mask[i, j] for j in range(mask.shape[1]) if j not in pinned_b) for i in free}
     open_rows = [i for i in free if sizes[i] >= 2]
-    return min(open_rows, key=lambda i: (sizes[i], i)) if open_rows else free[0]
+    return min(open_rows, key=lambda i: (sizes[i], i)) if open_rows else None
+
+
+def _forced_map(mask, rounds):
+    """The one map left when no free row offers two unpinned B-vertices: each
+    pinned row to its pin, each free row to its unpinned entry; None unless
+    that is a bijection."""
+    images = {i: j for i, j, *_ in rounds}
+    pinned_b = set(images.values())
+    for x in range(mask.shape[0]):
+        if x not in images:
+            images[x] = next((j for j in np.flatnonzero(mask[x]) if j not in pinned_b), -1)
+    values = [images[x] for x in range(mask.shape[0])]
+    return Permutation(values) if sorted(values) == list(range(len(values))) else None
 
 
 def _scan_all_search(a, b, eps=1e-6):
@@ -543,7 +557,9 @@ def _scan_all_search(a, b, eps=1e-6):
     mask's complement finds, and every cost is the Hungarian optimum of its
     cost matrix or a spectral distance.  Each accepted pair verifies the
     assignment that solver._decide proposes, as the search does, and the
-    first that holds ends the search.  Returns the report's fields, its
+    first that holds ends the search.  Where no level follows, the
+    :func:`_forced_map` is checked too, and a pin whose map fails is a dead
+    end.  Returns the report's fields, its
     (cost, accepted) pairs (the root's, then the rounds'), and its
     operation counts.
     """
@@ -573,8 +589,7 @@ def _scan_all_search(a, b, eps=1e-6):
         costs = [(root_cost, proposed is not None)]
         return fields, costs + [(cost, True) for _, _, cost, _ in rounds], counts
 
-    def descend(level, a_prev, b_prev, mask):
-        i = _fail_first(mask, rounds)
+    def descend(level, a_prev, b_prev, mask, i):
         a_pinned = perturb(a_prev, i, level + 1.0)
         da = eigendecompose(a_pinned)
         counts["dec"] += 1
@@ -594,16 +609,15 @@ def _scan_all_search(a, b, eps=1e-6):
             perm = solver._decide(c, eps)[1]
             if is_exact_isomorphism(a, b, perm):
                 return perm
-            if level + 1 < n:
-                found = descend(level + 1, a_pinned, b_pinned, c < eps)
+            child = _fail_first(c < eps, rounds)
+            if child is not None:
+                found = descend(level + 1, a_pinned, b_pinned, c < eps, child)
                 if found is not None:
                     return found
             else:
-                images = [0] * n
-                for x, y, *_ in rounds:
-                    images[x] = y
-                if is_exact_isomorphism(a, b, Permutation(images)):
-                    return Permutation(images)
+                forced = _forced_map(c < eps, rounds)
+                if forced is not None and is_exact_isomorphism(a, b, forced):
+                    return forced
             counts["bt"] += 1
             rounds.pop()
         return None
@@ -612,7 +626,8 @@ def _scan_all_search(a, b, eps=1e-6):
         return result(NOT_ISOMORPHIC, spectral=spectral)
     if is_exact_isomorphism(a, b, proposed):
         return result(ISOMORPHIC, proposed)
-    found = descend(0, a, b, root_mask)
+    i = _fail_first(root_mask, rounds)  # None: the mask is the failed matching
+    found = None if i is None else descend(0, a, b, root_mask, i)
     if found is None:
         return result(NOT_ISOMORPHIC, heuristic=True)
     return result(ISOMORPHIC, found)
@@ -708,6 +723,9 @@ class TestMaskGuidedSearch:
                     free = np.ones(a.n, dtype=bool)
                     free[[i for i, _ in pins]] = False
                     offered += int(e.mask[free][:, [j for _, j in pins]].sum())
+                    # and each pinned row offers its own pin alone, so a mask
+                    # that forces the map forces the matching it holds
+                    assert all(np.flatnonzero(e.mask[i]).tolist() == [j] for i, j in pins), name
                     checked += 1
         assert checked > 0 and offered == 0
 
@@ -868,67 +886,71 @@ class TestIsIsomorphicAccepts:
             assert is_exact_isomorphism(g, b, report.permutation)
 
 
-class TestFallbackAndFullPin:
-    """Paths that a witness failing its check reaches.
+class TestForcedMap:
+    """A mask in which no free row offers two B-vertices forces the map.
 
-    The first k checks of a relabelled cycle(6) answer False; after two
-    pins every free row of the mask offers one B-vertex, so each further
-    level takes the lowest free A-vertex, until every vertex is pinned.
+    The first k checks of a relabelled cycle(6) answer False, inner searches'
+    included.  The root's check is the first, the pins (0, 0) and (1, 2) make
+    the next two, and after them every row of the mask offers one B-vertex,
+    so the fourth check is of the map that mask forces.
     """
 
     @staticmethod
-    def run(monkeypatch, k):
+    def run(monkeypatch, k, g, b):
         calls = []
 
         def failing(a, b, p):
-            calls.append(p)
+            calls.append(p.map.tolist())
             return len(calls) > k and is_exact_isomorphism(a, b, p)
 
         monkeypatch.setattr(solver, "is_exact_isomorphism", failing)
-        g = cycle(6)
-        b = apply_permutation(g, random_permutation(6, 4))
         *events, report = solver.search(g, b, SolverOptions())
-        return g, b, events, report, len(calls)
+        return events, report, calls
 
     @staticmethod
-    def fallback_frames(events):
-        """(level, i) of each level whose parent's mask offers no free row
-        two unpinned B-vertices; every event here is accepted, one a level."""
-        out = []
-        for parent, e in zip(events, events[1:]):
-            pins = events[1 : e.level + 1]
-            offered = parent.mask.copy()
-            offered[:, [p.j for p in pins]] = False
-            free = np.setdiff1d(np.arange(len(offered)), [p.i for p in pins])
-            if offered[free].sum(axis=1).max() < 2:
-                out.append((e.level, e.i))
-        return out
+    def cycle_pair():
+        g = cycle(6)
+        return g, apply_permutation(g, random_permutation(6, 4))
 
-    def test_lowest_free_vertex_when_no_row_offers_two(self, monkeypatch):
-        g, b, events, report, calls = self.run(monkeypatch, 3)
-        assert calls == 4
+    def test_forced_map_that_holds_ends_the_search(self, monkeypatch):
+        events, report, calls = self.run(monkeypatch, 3, *self.cycle_pair())
+        assert len(calls) == 4
+        forced = events[-1].mask.argmax(axis=1)
+        forced[[r.i for r in report.rounds]] = [r.j for r in report.rounds]
+        assert calls[3] == forced.tolist() == report.permutation.map.tolist()
         assert report.outcome == ISOMORPHIC
-        assert all(e.accepted for e in events)
-        assert [r.i for r in report.rounds] == [0, 1, 2]
-        # one fallback frame: level 2 pins 2, the lowest free A-vertex
-        assert self.fallback_frames(events) == [(2, 2)]
+        assert [(r.i, r.j) for r in report.rounds] == [(0, 0), (1, 2)]
+        assert all(e.level != 2 for e in events)
 
-    def test_every_vertex_pinned_checks_the_pins_map(self, monkeypatch):
-        g, b, events, report, calls = self.run(monkeypatch, 7)
-        # the root and all six pins fail their checks; the eighth check, of
-        # the pins' own map, holds
-        assert calls == 8
+    def test_forced_map_that_fails_is_a_dead_end(self, monkeypatch):
+        g, b = self.cycle_pair()
+        events, report, calls = self.run(monkeypatch, 5, g, b)
+        # the fourth check, of the map forced below the pin (1, 2), fails: no
+        # level follows, one backtrack drops the pin and level 1 scans on
+        # (the fifth check is an inner search's, which finds no automorphism)
+        assert [(e.level, e.i, e.j) for e in events if e.level is not None] == [
+            (0, 0, 0),
+            (1, 1, 2),
+            (1, 1, 5),
+        ]
+        assert report.backtrack_steps == 1
         assert report.outcome == ISOMORPHIC
-        assert len(report.rounds) == 6
-        assert all(e.accepted for e in events)
-        assert self.fallback_frames(events) == [(2, 2), (3, 3), (4, 4), (5, 5)]
-        assert all(report.permutation.map[r.i] == r.j for r in report.rounds)
+        assert [(r.i, r.j) for r in report.rounds] == [(0, 0), (1, 5)]
         assert is_exact_isomorphism(g, b, report.permutation)
+
+    def test_root_mask_with_one_failing_matching_is_exhausted(self, monkeypatch):
+        # a simple spectrum leaves one B-vertex in every row of the root's mask
+        g = random_gnp(12, 1)
+        events, report, calls = self.run(monkeypatch, 1, g, apply_permutation(g, random_permutation(12, 3)))
+        assert events[0].mask.sum(axis=1).max() == 1
+        assert len(events) == len(calls) == 1
+        assert (report.outcome, report.reason) == (NOT_ISOMORPHIC, "exhaustion")
+        assert (report.decompositions, report.backtrack_steps) == (2, 0)
 
     def test_loose_eps_pins_a_b_vertex_twice(self):
         # at eps = 2 a pin's loop no longer sets its B-vertex apart, so a mask
-        # offers it again; pins that fill every level but repeat a B-vertex
-        # are no bijection and are skipped, not checked
+        # offers it again and a level may pin it twice; a forced map that
+        # repeats a B-vertex is no bijection, so it is a dead end, not checked
         g = path(3)
         b = apply_permutation(g, random_permutation(3, 0))
         *events, report = solver.search(g, b, SolverOptions(eps=2.0))
@@ -1088,6 +1110,31 @@ class TestOptions:
         report = is_isomorphic(g, b, SolverOptions(eps=1e-4))
         assert report.outcome == ISOMORPHIC
         assert is_exact_isomorphism(g, b, report.permutation)
+
+    def test_loose_eps_answers_agree_with_the_oracle(self):
+        # at eps 1, far above rounding, masks offer pinned B-vertices and
+        # levels end on forced maps; no answer may be wrong, only inconclusive
+        opts = SolverOptions(eps=1.0, max_backtrack_steps=10)
+        outcomes = []
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            n = 3 + seed % 5
+            a = random_gnp(n, seed)
+            if seed % 2:
+                b = apply_permutation(a, random_permutation(n, seed))
+            else:  # as many edges as a, placed anew
+                pairs = np.transpose(np.triu_indices(n, 1))
+                chosen = pairs[rng.permutation(len(pairs))[: int(a.adj.sum()) // 2]]
+                adj = np.zeros((n, n))
+                adj[chosen[:, 0], chosen[:, 1]] = adj[chosen[:, 1], chosen[:, 0]] = 1
+                b = Graph(adj)
+            report = is_isomorphic(a, b, opts)
+            outcomes.append(report.outcome)
+            if report.outcome == ISOMORPHIC:
+                assert is_exact_isomorphism(a, b, report.permutation), seed
+            elif report.outcome == NOT_ISOMORPHIC:
+                assert brute_force_isomorphism(a, b) is None, seed
+        assert {ISOMORPHIC, NOT_ISOMORPHIC} <= set(outcomes)
 
 
 class TestSearchEvents:
