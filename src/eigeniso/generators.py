@@ -91,7 +91,7 @@ def triangular(k: int) -> Graph:
     return _graph(len(pairs), lambda u, v: (pairs[u, :, None] == pairs[v, None]).any(axis=(2, 3)))
 
 
-def random_gnp(n: int, seed: int | None) -> Graph:
+def random_gnp(n: int, seed: int) -> Graph:
     """Erdos-Renyi G(n, 1/2) with a seeded generator."""
     if n < 1:
         raise ValueError("random graph needs at least 1 vertex")
@@ -112,7 +112,7 @@ FAMILIES = {
 }
 
 
-def generate(family: str, parameter: int, seed: int | None = None) -> Graph:
+def generate(family: str, parameter: int, seed: int = 0) -> Graph:
     """Build a graph of the named family; only random_gnp reads the seed."""
     build = FAMILIES.get(family)
     if build is None:

@@ -88,21 +88,6 @@ class SolverOptions:
     max_backtrack_steps: int = 10**6
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One accepted perturbation round: loop at vertex i of A, j of B.
-
-    cost is the row-order sum of the mask's matching that accepted the
-    round, an upper bound of the optimum (see :class:`SolveReport`);
-    zero_count is the number of entries in the sub-eps mask.
-    """
-
-    i: int
-    j: int
-    cost: float
-    zero_count: int
-
-
 @dataclass
 class SolveReport:
     """Outcome of a solve plus search statistics.
@@ -126,7 +111,11 @@ class SolveReport:
     root as in every round, is the row-order sum of the mask's matching,
     an upper bound of the optimum and below n * eps.  An isomorphic search
     ends at the first verified assignment, so rounds may stop short of n.
-    Rounds are in level order; a round's i is the A-vertex its level pinned.
+    rounds are the accepted :class:`SearchEvent` of each level still on the
+    search's stack, in level order, the very objects :func:`search` yields;
+    a round's i is the A-vertex its level pinned, and its mask the sub-eps
+    mask of its pin, with ``int(r.mask.sum())`` entries.  A NOT_ISOMORPHIC
+    search ends with no level left, so with no rounds.
     pruned counts the candidates skipped by an automorphism of B (see
     :class:`SearchEvent`), inner_searches the capped searches run to find
     those automorphisms, nested ones included.  decompositions and
@@ -138,7 +127,7 @@ class SolveReport:
     backtrack_steps: int = 0
     decompositions: int = 0
     lap_solves: int = 0
-    rounds: list[RoundRecord] = field(default_factory=list)
+    rounds: list[SearchEvent] = field(default_factory=list)
     root_cost: float = 0.0
     reason: str | None = None
     pruned: int = 0
@@ -316,8 +305,7 @@ class SearchEvent(NamedTuple):
     mask are those of :func:`_evaluate` (mask None when no cost matrix was
     built); accepted means the pair passed: the mask holds a perfect
     matching.  An accepted cost is that matching's row-order sum, an upper
-    bound of the optimum; an accepted pin's cost is also its
-    :class:`RoundRecord`'s.  pruned marks a candidate skipped unevaluated,
+    bound of the optimum.  pruned marks a candidate skipped unevaluated,
     since an automorphism of B that fixes the pins maps an exhausted
     candidate onto it; its cost is inf and its mask None.
     """
@@ -356,8 +344,8 @@ class _Frame:
     i is the A-vertex this level pins with loop weight w, a is A pinned
     through this level, da its decomposition, b is B before this level's
     pin; candidates are the B-vertices tried in order, k the next one's
-    index, accepted the tried ones whose pin passed, and pin the round
-    accepted at this level, if any.
+    index, accepted the tried ones whose pin passed, and pin the event
+    this level accepted last, while its subtree is being searched.
     """
 
     i: int
@@ -368,7 +356,7 @@ class _Frame:
     candidates: list[int]
     k: int = 0
     accepted: list[int] = field(default_factory=list)
-    pin: RoundRecord | None = None
+    pin: SearchEvent | None = None
 
 
 def search(
@@ -495,11 +483,12 @@ def search(
             e, perm, mask = _evaluate(top.da, eigendecompose(b_pinned), eps)
             decompositions += 1
             lap_solves += mask is not None
-            yield SearchEvent(level, top.i, j, e, mask, perm is not None)
+            event = SearchEvent(level, top.i, j, e, mask, perm is not None)
+            yield event
             if perm is None:
                 continue
             top.accepted.append(j)
-            top.pin = RoundRecord(top.i, j, e, int(mask.sum()))
+            top.pin = event
             if is_exact_isomorphism(a, b, perm):
                 yield report(ISOMORPHIC, perm)
                 return

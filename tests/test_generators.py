@@ -112,6 +112,12 @@ class TestFamilies:
         a, b = generate("random_gnp", 10, seed=9), generate("random_gnp", 10, seed=9)
         assert np.array_equal(a.adj, b.adj)
 
+    def test_generate_without_seed_reproduces(self):
+        # the default seed is the CLI's, 0, not a fresh draw
+        a, b = generate("random_gnp", 8), generate("random_gnp", 8)
+        assert np.array_equal(a.adj, b.adj)
+        assert np.array_equal(a.adj, random_gnp(8, 0).adj)
+
 
 def _reference(n, joined):
     """The 0/1 matrix joining each pair u < v for which ``joined(u, v)`` holds."""

@@ -256,7 +256,7 @@ class TestFilteredCostMatrix:
                 report.decompositions,
                 report.lap_solves,
                 report.backtrack_steps,
-                [(r.i, r.j, r.zero_count) for r in report.rounds],
+                [(r.i, r.j, int(r.mask.sum())) for r in report.rounds],
                 None if report.permutation is None else list(report.permutation.map),
             )
 
@@ -449,7 +449,7 @@ class TestMaskFirstDecision:
                 report.outcome,
                 report.backtrack_steps,
                 report.pruned,
-                [(r.i, r.j, r.zero_count) for r in report.rounds],
+                [(r.i, r.j, int(r.mask.sum())) for r in report.rounds],
                 None if report.permutation is None else list(report.permutation.map),
                 report.spectral_rejection,
                 report.heuristic_rejection,
@@ -643,7 +643,7 @@ class TestMaskGuidedSearch:
             got = (
                 report.outcome,
                 None if report.permutation is None else list(report.permutation.map),
-                [(r.i, r.j, r.zero_count) for r in report.rounds],
+                [(r.i, r.j, int(r.mask.sum())) for r in report.rounds],
                 report.backtrack_steps,
                 report.spectral_rejection,
                 report.heuristic_rejection,
@@ -730,9 +730,9 @@ class TestMaskGuidedSearch:
         assert checked > 0 and offered == 0
 
     def test_accepted_event_cost_bounds_round_cost(self, monkeypatch, search_spy):
-        # an accepted pin's event and round carry the accepted assignment's
-        # cost: an upper bound of its cost matrix's optimum, the optimum
-        # itself when the sub-eps mask has one perfect matching
+        # an accepted pin's event, which is its round, carries the accepted
+        # assignment's cost: an upper bound of its cost matrix's optimum,
+        # the optimum itself when the sub-eps mask has one perfect matching
         eps = 1e-6
         decided = []  # (searches running, cost matrix)
         decide = solver._decide
@@ -760,7 +760,7 @@ class TestMaskGuidedSearch:
                 strict += optimum < e.cost
                 last[e.level] = e
             for level, r in enumerate(report.rounds):
-                assert (last[level].i, last[level].j, last[level].cost) == (r.i, r.j, r.cost), name
+                assert r is last[level], name
         assert strict > 0
 
 
@@ -774,7 +774,7 @@ class TestIsIsomorphicAccepts:
         assert report.outcome == ISOMORPHIC
         assert is_exact_isomorphism(g, b, report.permutation)
         assert [r.i for r in report.rounds] == [0, 1]
-        assert report.rounds[-1].zero_count == 6  # single permutation pattern
+        assert report.rounds[-1].mask.sum() == 6  # single permutation pattern
         assert report.backtrack_steps == 0
 
     def test_cycle_rotation_ends_at_the_root(self):
@@ -798,7 +798,7 @@ class TestIsIsomorphicAccepts:
         assert report.outcome == ISOMORPHIC
         assert is_exact_isomorphism(g, b, report.permutation)
         assert [r.i for r in report.rounds] == [0, 1, 3]
-        assert report.rounds[-1].zero_count > 13
+        assert report.rounds[-1].mask.sum() > 13
         assert report.backtrack_steps == 0
 
     def test_paley17_valid_permutation(self):
@@ -1145,6 +1145,10 @@ class TestSearchEvents:
         fields = dict(vars(report))
         perm = fields.pop("permutation")
         fields["permutation"] = None if perm is None else perm.map.tolist()
+        # rounds hold numpy masks, which == cannot compare inside a tuple
+        fields["rounds"] = [
+            (r.level, r.i, r.j, float(r.cost).hex(), r.mask.tolist()) for r in report.rounds
+        ]
         return fields
 
     def test_last_item_is_the_report(self, search_spy):
@@ -1164,6 +1168,25 @@ class TestSearchEvents:
             assert len(calls) - 1 == report.inner_searches, name
             inner += report.inner_searches
         assert inner > 0
+
+    def test_rounds_are_the_accepted_events(self):
+        # a round is the event its level accepted, one per level still on
+        # the stack, and a rejection leaves no level, so no round
+        cases = _pairs_for_equivalence() + [
+            ("size", cycle(5), cycle(6)),
+            ("spectrum", cycle(6), path(6)),
+        ]
+        outcomes, rounds = set(), 0
+        for name, a, b in cases:
+            *events, report = solver.search(a, b, SolverOptions())
+            outcomes.add(report.outcome)
+            rounds += len(report.rounds)
+            accepted = [e for e in events if e.level is not None and e.accepted]
+            assert [r.level for r in report.rounds] == list(range(len(report.rounds))), name
+            assert all(any(r is e for e in accepted) for r in report.rounds), name
+            if report.outcome == NOT_ISOMORPHIC:
+                assert report.rounds == [], name
+        assert outcomes == {ISOMORPHIC, NOT_ISOMORPHIC} and rounds > 0
 
 
 class TestCounters:
