@@ -1,10 +1,9 @@
-"""Dense linear assignment: Hungarian method and perfect matchings in a mask.
+"""Reference assignments: the Hungarian optimum and a uniqueness check.
 
-The search decides a cost matrix by its sub-eps mask ``c < eps`` alone:
-does it hold a perfect matching (:func:`perfect_matching`)?  The Hungarian
-solver :func:`solve_lap` and :func:`is_unique_zero_assignment` are off that
-path; they are the reference optimum and a uniqueness check built on the
-same matcher.
+Neither is on the solve path.  The search decides a cost matrix by its
+sub-eps mask ``c < eps`` alone, with :func:`eigeniso.solver.perfect_matching`;
+the tests check that decision against :func:`solve_lap`, the optimum, and
+:func:`is_unique_zero_assignment`, built on the same matcher.
 
 :func:`solve_lap` is the shortest-augmenting-path formulation of the
 Hungarian method with row/column potentials, O(n^3) overall, exact for the
@@ -13,7 +12,8 @@ cheap columns resolve toward the lowest column index, which keeps runs
 reproducible; on an all-zero matrix the result is the identity.
 
 :func:`solve_lap` and the search's decision both add costs first to last
-(:func:`_sequential_sum`), so an accepted cost compares with the optimum.
+(:func:`eigeniso.solver._sequential_sum`), so an accepted cost compares
+with the optimum.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import Permutation
+from .solver import _sequential_sum, perfect_matching
 
 
 class LapSolution(NamedTuple):
@@ -80,64 +81,6 @@ def solve_lap(c: np.ndarray) -> LapSolution:
     row_to_col = np.empty(n, dtype=int)
     row_to_col[p[1:] - 1] = np.arange(n)
     return LapSolution(Permutation(row_to_col), _sequential_sum(c[np.arange(n), row_to_col]))
-
-
-def _sequential_sum(values: np.ndarray) -> float:
-    """Add first to last; smaller terms, one by one, never give a larger sum."""
-    return float(np.add.accumulate(values)[-1])
-
-
-def perfect_matching(mask: np.ndarray) -> np.ndarray | None:
-    """A perfect matching inside a square boolean mask, or None if none exists.
-
-    Returns ``col`` with ``mask[i, col[i]]`` for every row i, a bijection.
-    Rows are first matched greedily to their lowest free column; each row
-    left over is then matched along a shortest augmenting path (a
-    breadth-first search over alternating paths, Hopcroft–Karp 1973 with
-    one path per phase).  A row with no augmenting path proves that no
-    perfect matching exists (Berge), so the search stops there.  Plain
-    Python lists: at the sizes the search meets (n of a few dozen) this is
-    cheaper than any dense O(n^3) solve.
-    """
-    m = np.asarray(mask, dtype=bool)
-    n = m.shape[0]
-    if m.ndim != 2 or m.shape != (n, n):
-        raise ValueError("mask must be square")
-    ii, jj = np.nonzero(m)
-    cols = jj.tolist()
-    ends = np.cumsum(np.bincount(ii, minlength=n)).tolist()
-    adj = [cols[s:e] for s, e in zip([0] + ends[:-1], ends)]
-    row_of = [-1] * n  # row matched to each column
-    col_of = [-1] * n  # column matched to each row
-    for i in range(n):
-        for j in adj[i]:
-            if row_of[j] < 0:
-                row_of[j], col_of[i] = i, j
-                break
-    for i in range(n):
-        if col_of[i] >= 0:
-            continue
-        came_from = [-1] * n  # the row from which the search reached a column
-        frontier, end = [i], -1
-        while frontier and end < 0:
-            reached = []
-            for r in frontier:
-                for j in adj[r]:
-                    if came_from[j] < 0:
-                        came_from[j] = r
-                        if row_of[j] < 0:
-                            end = j
-                            break
-                        reached.append(row_of[j])
-                if end >= 0:
-                    break
-            frontier = reached
-        if end < 0:
-            return None
-        while end >= 0:  # flip the path back to row i
-            r = came_from[end]
-            row_of[end], col_of[r], end = r, end, col_of[r]
-    return np.array(col_of)
 
 
 def is_unique_zero_assignment(mask: np.ndarray) -> bool:

@@ -43,16 +43,8 @@ class Graph:
         self.adj = a
         self.n = a.shape[0]
 
-    def degrees(self) -> np.ndarray:
-        """Off-diagonal row sums (vertex degrees for plain graphs)."""
-        return self.adj.sum(axis=1) - np.diag(self.adj)
-
-    def edge_count(self) -> int:
-        """Number of off-diagonal nonzero entries / 2 (plain graphs)."""
-        return int(np.count_nonzero(np.triu(self.adj, k=1)))
-
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Graph(n={self.n}, edges={self.edge_count()})"
+        return f"Graph(n={self.n})"
 
 
 class Permutation:
@@ -75,11 +67,6 @@ class Permutation:
 
     def __getitem__(self, i: int) -> int:
         return int(self.map[i])
-
-    def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.map)
-        inv[self.map] = np.arange(len(self))
-        return Permutation(inv)
 
     def to_line(self) -> str:
         """One-line file form: n space-separated 1-based images."""

@@ -55,7 +55,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import _sequential_sum, perfect_matching
 from .graph import Graph, Permutation, is_exact_isomorphism, perturb
 from .spectral import (
     DEFAULT_EPS,
@@ -115,7 +114,8 @@ class SolveReport:
     search's stack, in level order, the very objects :func:`search` yields;
     a round's i is the A-vertex its level pinned, and its mask the sub-eps
     mask of its pin, with ``int(r.mask.sum())`` entries.  A NOT_ISOMORPHIC
-    search ends with no level left, so with no rounds.
+    search ends with no level left, so with no rounds; an INCONCLUSIVE one
+    keeps the pins not yet refuted when it crossed the cap.
     pruned counts the candidates skipped by an automorphism of B (see
     :class:`SearchEvent`), inner_searches the capped searches run to find
     those automorphisms, nested ones included.  decompositions and
@@ -252,6 +252,64 @@ def build_cost_matrix(
                 exact[s : s + block] += np.sqrt(np.einsum("ij,ij->i", diff, diff))
     c[ii, jj] = exact
     return c
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """Add first to last; smaller terms, one by one, never give a larger sum."""
+    return float(np.add.accumulate(values)[-1])
+
+
+def perfect_matching(mask: np.ndarray) -> np.ndarray | None:
+    """A perfect matching inside a square boolean mask, or None if none exists.
+
+    Returns ``col`` with ``mask[i, col[i]]`` for every row i, a bijection.
+    Rows are first matched greedily to their lowest free column; each row
+    left over is then matched along a shortest augmenting path (a
+    breadth-first search over alternating paths, Hopcroft–Karp 1973 with
+    one path per phase).  A row with no augmenting path proves that no
+    perfect matching exists (Berge), so the search stops there.  Plain
+    Python lists: at the sizes the search meets (n of a few dozen) this is
+    cheaper than any dense O(n^3) solve.
+    """
+    m = np.asarray(mask, dtype=bool)
+    n = m.shape[0]
+    if m.ndim != 2 or m.shape != (n, n):
+        raise ValueError("mask must be square")
+    ii, jj = np.nonzero(m)
+    cols = jj.tolist()
+    ends = np.cumsum(np.bincount(ii, minlength=n)).tolist()
+    adj = [cols[s:e] for s, e in zip([0] + ends[:-1], ends)]
+    row_of = [-1] * n  # row matched to each column
+    col_of = [-1] * n  # column matched to each row
+    for i in range(n):
+        for j in adj[i]:
+            if row_of[j] < 0:
+                row_of[j], col_of[i] = i, j
+                break
+    for i in range(n):
+        if col_of[i] >= 0:
+            continue
+        came_from = [-1] * n  # the row from which the search reached a column
+        frontier, end = [i], -1
+        while frontier and end < 0:
+            reached = []
+            for r in frontier:
+                for j in adj[r]:
+                    if came_from[j] < 0:
+                        came_from[j] = r
+                        if row_of[j] < 0:
+                            end = j
+                            break
+                        reached.append(row_of[j])
+                if end >= 0:
+                    break
+            frontier = reached
+        if end < 0:
+            return None
+        while end >= 0:  # flip the path back to row i
+            r = came_from[end]
+            row_of[end], col_of[r], end = r, end, col_of[r]
+    return np.array(col_of)
 
 
 def _decide(c: np.ndarray, eps: float) -> tuple[float, Permutation | None, np.ndarray]:
@@ -502,11 +560,11 @@ def search(
             if perm is not None and is_exact_isomorphism(a, b, perm):
                 yield report(ISOMORPHIC, perm)
                 return
+        stack[-1].pin = None  # refuted, so no round even at the cap
         backtracks += 1
         if backtracks > opts.max_backtrack_steps:
             yield report(INCONCLUSIVE, reason="backtrack_cap")
             return
-        stack[-1].pin = None
     yield report(NOT_ISOMORPHIC, reason="exhaustion")
 
 

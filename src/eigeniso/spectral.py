@@ -1,12 +1,7 @@
 """Symmetric eigendecomposition, shared eigenvalue groups, eigenspace projectors.
 
-Two tolerances matter here and are easy to conflate:
-
-* ``DEFAULT_EPS`` (1e-6) is the algorithmic tolerance: eigenvalues closer
-  than this are treated as equal and clustered into one group.
-* ``delta_eig`` is the far smaller numerical accuracy budget of the
-  eigensolver itself; invariants of decompositions and projectors are
-  asserted against it, not against the algorithmic tolerance.
+``DEFAULT_EPS`` (1e-6) is the algorithmic tolerance: eigenvalues closer
+than this are treated as equal and clustered into one group.
 """
 
 from __future__ import annotations
@@ -34,12 +29,6 @@ class SpectralDecomposition:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-
-def delta_eig(m) -> float:
-    """Eigensolver accuracy budget for matrix (or Graph) ``m``."""
-    a = m.adj if isinstance(m, Graph) else np.asarray(m)
-    return 1e-10 * a.shape[0] * float(np.abs(a).max())
 
 
 def group_eigenvalues(wa, wb, eps: float) -> list[int]:
@@ -86,11 +75,3 @@ def spectral_distance(da: SpectralDecomposition, db: SpectralDecomposition) -> f
         raise ValueError(f"size mismatch: {da.n} vs {db.n}")
     return float(np.linalg.norm(da.values - db.values))
 
-
-def reconstruct(d: SpectralDecomposition) -> np.ndarray:
-    """Rebuild the source matrix: group projectors times their mean eigenvalue."""
-    starts = group_eigenvalues(d.values, d.values, DEFAULT_EPS)
-    out = np.zeros((d.n, d.n))
-    for start, stop in zip(starts, [*starts[1:], d.n]):
-        out += d.values[start:stop].mean() * projection(d, start, stop)
-    return out

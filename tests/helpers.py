@@ -1,4 +1,4 @@
-"""Shared test utilities: exhaustive enumerations and tiny oracles."""
+"""Shared test utilities: exhaustive enumerations, tiny oracles and graph facts."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from eigeniso import DEFAULT_EPS, Graph, group_eigenvalues
+from eigeniso import DEFAULT_EPS, Graph, Permutation, group_eigenvalues, projection
 
 
 # Base graphs of CFI pairs (generators.cfi), as edge lists.
@@ -71,6 +71,39 @@ def eigen_groups(d, eps: float = DEFAULT_EPS) -> list[Group]:
     starts = group_eigenvalues(d.values, d.values, eps)
     stops = [*starts[1:], d.n]
     return [Group(float(d.values[s:e].mean()), s, e) for s, e in zip(starts, stops)]
+
+
+def reconstruct(d) -> np.ndarray:
+    """Rebuild the source matrix: group projectors times their mean eigenvalue."""
+    out = np.zeros((d.n, d.n))
+    for g in eigen_groups(d):
+        out += g.value * projection(d, g.start, g.stop)
+    return out
+
+
+def delta_eig(m) -> float:
+    """Eigensolver accuracy budget for matrix (or Graph) ``m``.
+
+    Far below the algorithmic tolerance ``DEFAULT_EPS``; invariants of
+    decompositions and projectors are asserted against it.
+    """
+    a = m.adj if isinstance(m, Graph) else np.asarray(m)
+    return 1e-10 * a.shape[0] * float(np.abs(a).max())
+
+
+def degrees(g: Graph) -> np.ndarray:
+    """Off-diagonal row sums (vertex degrees for plain graphs)."""
+    return g.adj.sum(axis=1) - np.diag(g.adj)
+
+
+def edge_count(g: Graph) -> int:
+    """Number of off-diagonal nonzero entries / 2 (plain graphs)."""
+    return int(np.count_nonzero(np.triu(g.adj, k=1)))
+
+
+def inverse(p: Permutation) -> Permutation:
+    """The permutation that undoes ``p``."""
+    return Permutation(np.argsort(p.map))
 
 
 def sorted_row_distance(u_a, u_b) -> float:

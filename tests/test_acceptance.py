@@ -31,8 +31,7 @@ from eigeniso.assignment import is_unique_zero_assignment, solve_lap
 from eigeniso.cli import main as cli_main
 from eigeniso.cli import run_bench
 from eigeniso.generators import cycle, lattice, paley, random_gnp, triangular
-from eigeniso.spectral import delta_eig, reconstruct
-from helpers import all_graphs, eigen_groups
+from helpers import all_graphs, delta_eig, eigen_groups, reconstruct
 
 
 def _verdict(num: int, desc: str, ok: bool) -> bool:

@@ -1,11 +1,16 @@
 """Hungarian LAP solver and zero-structure analysis."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from eigeniso.assignment import is_unique_zero_assignment, perfect_matching, solve_lap
+import eigeniso
+from eigeniso.assignment import is_unique_zero_assignment, solve_lap
+from eigeniso.solver import perfect_matching
 from helpers import lap_brute_force, perfect_matchings
 
 
@@ -177,3 +182,16 @@ class TestPerfectMatching:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             perfect_matching(np.ones((2, 3), dtype=bool))
+
+
+class TestImportBoundary:
+    def test_package_import_leaves_the_references_unloaded(self):
+        # the solve path holds its own matcher, so only a caller of the
+        # Hungarian reference loads eigeniso.assignment
+        code = "import sys, eigeniso; print(sorted(m for m in sys.modules if m.startswith('eigeniso')))"
+        root = os.path.dirname(os.path.dirname(eigeniso.__file__))
+        env = {**os.environ, "PYTHONPATH": root}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == str(
+            ["eigeniso", "eigeniso.generators", "eigeniso.graph", "eigeniso.solver", "eigeniso.spectral"]
+        )

@@ -21,7 +21,7 @@ from eigeniso import (
 )
 from eigeniso.cli import main
 from eigeniso.generators import cfi, complete, cycle, paley, path
-from helpers import K33_EDGES
+from helpers import K33_EDGES, degrees
 
 
 def _write(tmp_path, name, g):
@@ -47,7 +47,7 @@ class TestGen:
     def test_stdout(self, capsys):
         assert main(["gen", "paley", "13"]) == 0
         g = parse_graph(capsys.readouterr().out)
-        assert g.n == 13 and np.all(g.degrees() == 6)
+        assert g.n == 13 and np.all(degrees(g) == 6)
 
     def test_file_round_trip(self, tmp_path):
         out = str(tmp_path / "c6.col")

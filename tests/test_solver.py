@@ -896,7 +896,7 @@ class TestForcedMap:
     """
 
     @staticmethod
-    def run(monkeypatch, k, g, b):
+    def run(monkeypatch, k, g, b, opts=None):
         calls = []
 
         def failing(a, b, p):
@@ -904,7 +904,7 @@ class TestForcedMap:
             return len(calls) > k and is_exact_isomorphism(a, b, p)
 
         monkeypatch.setattr(solver, "is_exact_isomorphism", failing)
-        *events, report = solver.search(g, b, SolverOptions())
+        *events, report = solver.search(g, b, opts or SolverOptions())
         return events, report, calls
 
     @staticmethod
@@ -937,6 +937,13 @@ class TestForcedMap:
         assert report.outcome == ISOMORPHIC
         assert [(r.i, r.j) for r in report.rounds] == [(0, 0), (1, 5)]
         assert is_exact_isomorphism(g, b, report.permutation)
+
+    def test_cap_at_a_failed_forced_map_drops_its_pin(self, monkeypatch):
+        g, b = self.cycle_pair()
+        events, report, calls = self.run(monkeypatch, 5, g, b, SolverOptions(max_backtrack_steps=0))
+        assert len(calls) == 4  # the forced map below (1, 2) was the last check
+        assert (report.outcome, report.reason) == (INCONCLUSIVE, "backtrack_cap")
+        assert [(r.i, r.j) for r in report.rounds] == [(0, 0)]
 
     def test_root_mask_with_one_failing_matching_is_exhausted(self, monkeypatch):
         # a simple spectrum leaves one B-vertex in every row of the root's mask
@@ -1096,6 +1103,14 @@ class TestInconclusive:
         assert report.outcome == INCONCLUSIVE
         assert report.permutation is None
         assert report.backtrack_steps == 4  # the step that crossed the cap
+
+    def test_cap_reports_no_refuted_pin_as_a_round(self):
+        # level 1 under the pin (0, 0) runs dry; that backtrack crosses the cap
+        *events, report = solver.search(*srg_fixture(), SolverOptions(max_backtrack_steps=0))
+        assert (report.outcome, report.reason) == (INCONCLUSIVE, "backtrack_cap")
+        assert report.backtrack_steps == 1
+        assert [(e.i, e.j) for e in events if e.accepted and e.level == 0] == [(0, 0)]
+        assert report.rounds == []
 
     def test_cap_zero_still_solves_easy_pairs(self):
         g = cycle(6)

@@ -14,8 +14,7 @@ from eigeniso import (
     spectral_distance,
 )
 from eigeniso.generators import complete, cycle, lattice, paley, path, random_gnp
-from eigeniso.spectral import delta_eig, reconstruct
-from helpers import char_poly_spectrum, eigen_groups
+from helpers import char_poly_spectrum, delta_eig, eigen_groups, reconstruct
 
 
 class TestEigendecompose:
