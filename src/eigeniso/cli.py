@@ -143,7 +143,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 _SPEC_RE = re.compile(r"^([a-z_]+)(?:\s+(\d+)|\s*\(\s*(\d+)\s*\))$")
 
 
-def _bench_input(tokens: list[str], gen_seed: int) -> tuple[str, Graph]:
+def _bench_input(tokens: list[str]) -> tuple[str, Graph]:
     """A bench target: a graph file, or a family spec 'paley 17' or 'paley(17)'."""
     if len(tokens) == 1 and os.path.isfile(tokens[0]):
         return os.path.basename(tokens[0]), load_graph(tokens[0])
@@ -154,8 +154,7 @@ def _bench_input(tokens: list[str], gen_seed: int) -> tuple[str, Graph]:
             f"not a file or family spec: {joined!r} (families: {', '.join(FAMILIES)})"
         )
     family, param = m.group(1), int(m.group(2) or m.group(3))
-    g = generate(family, param, seed=gen_seed)
-    return f"{family}({param})", g
+    return f"{family}({param})", generate(family, param)
 
 
 def run_bench(
@@ -198,7 +197,7 @@ def run_bench(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    name, g = _bench_input(args.target, args.gen_seed)
+    name, g = _bench_input(args.target)
     report = run_bench(name, g, args.trials, args.seed, _options(args))
     header = f"{'name':<18} {'n':>4} {'trials':>6} {'nBT':>5} {'BT':>4} {'steps':>7} {'time[s]':>9} {'fail':>5}"
     row = (
@@ -297,12 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--trials", type=int, default=100)
     p_bench.add_argument("--seed", type=_non_negative, default=0)
-    p_bench.add_argument(
-        "--gen-seed",
-        type=_non_negative,
-        default=0,
-        help="seed for the random_gnp family",
-    )
     _add_solver_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

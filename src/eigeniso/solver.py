@@ -76,8 +76,8 @@ class SolverOptions:
 
     eps: tolerance below which eigenvalues coincide and costs count as zero;
         positive and finite.
-    max_backtrack_steps: deleted assignments allowed before giving up
-        (outcome inconclusive, never a wrong answer); nonnegative.
+    max_backtrack_steps: refuted pins allowed before giving up (outcome
+        inconclusive, never a wrong answer); nonnegative.
 
     :func:`search` checks both when it is entered, before it compares the
     sizes, and raises :class:`ValueError` if either is out of range.
@@ -120,6 +120,8 @@ class SolveReport:
     :class:`SearchEvent`), inner_searches the capped searches run to find
     those automorphisms, nested ones included.  decompositions and
     lap_solves, the cost matrices decided, include the inner searches'.
+    :func:`search` counts into the report as it runs, backtrack_steps being
+    its refuted pins; the size-mismatch report counts nothing.
     """
 
     outcome: str
@@ -447,27 +449,17 @@ def search(
         yield SolveReport(NOT_ISOMORPHIC, None, root_cost=float("inf"), reason="size")
         return
     n = a.n
-    backtracks = lap_solves = pruned = inner_searches = 0
+    rep = SolveReport(INCONCLUSIVE, None)  # counted into as the search runs
     automorphisms: list[np.ndarray] = []  # of b, each verified
     stack: list[_Frame] = []
 
-    def report(outcome: str, perm=None, reason=None) -> SolveReport:
-        return SolveReport(
-            outcome,
-            perm,
-            backtrack_steps=backtracks,
-            decompositions=decompositions,
-            lap_solves=lap_solves,
-            rounds=[f.pin for f in stack if f.pin is not None],
-            root_cost=root_cost,
-            reason=reason,
-            pruned=pruned,
-            inner_searches=inner_searches,
-        )
+    def end(outcome: str, perm=None, reason=None) -> SolveReport:
+        rep.outcome, rep.permutation, rep.reason = outcome, perm, reason
+        rep.rounds = [f.pin for f in stack if f.pin is not None]
+        return rep
 
     def frame(a_prev: Graph, b_prev: Graph, mask: np.ndarray) -> _Frame | None:
         """Next level: the free A-vertex offered the fewest B-vertices, at least two; else None."""
-        nonlocal decompositions
         sizes = mask.sum(axis=1)
         sizes[sizes < 2] = n + 1
         sizes[[f.i for f in stack]] = n + 1
@@ -477,7 +469,7 @@ def search(
         w = base + len(stack) + 1.0
         a_pinned = perturb(a_prev, i, w)
         candidates = np.flatnonzero(mask[i]).tolist()
-        decompositions += 1
+        rep.decompositions += 1
         return _Frame(i, w, a_pinned, eigendecompose(a_pinned), b_prev, candidates)
 
     def symmetric(top: _Frame, j: int) -> bool:
@@ -487,7 +479,6 @@ def search(
         Stored automorphisms answer first.  Otherwise a capped search from
         each accepted candidate may find a new one.
         """
-        nonlocal decompositions, lap_solves, inner_searches
         pins = [f.pin.j for f in stack[:-1]]
         fixing = [s for s in automorphisms if (s[pins] == pins).all()]
         if _orbit(top.candidates[: top.k - 1], fixing, n)[j]:
@@ -495,9 +486,9 @@ def search(
         for j0 in top.accepted:
             x, y = perturb(top.b, j0, top.w), perturb(top.b, j, top.w)
             inner = deque(search(x, y, SolverOptions(eps, _AUTOMORPHISM_BACKTRACKS)), maxlen=1)[0]
-            decompositions += inner.decompositions
-            lap_solves += inner.lap_solves
-            inner_searches += 1 + inner.inner_searches
+            rep.decompositions += inner.decompositions
+            rep.lap_solves += inner.lap_solves
+            rep.inner_searches += 1 + inner.inner_searches
             if inner.outcome != ISOMORPHIC:
                 continue
             sigma = inner.permutation.map
@@ -507,15 +498,15 @@ def search(
                 return True
         return False
 
-    root_cost, perm, mask = _evaluate(eigendecompose(a), eigendecompose(b), eps)
-    decompositions = 2
-    lap_solves += mask is not None
-    yield SearchEvent(None, None, None, root_cost, mask, perm is not None)
+    rep.root_cost, perm, mask = _evaluate(eigendecompose(a), eigendecompose(b), eps)
+    rep.decompositions += 2
+    rep.lap_solves += mask is not None
+    yield SearchEvent(None, None, None, rep.root_cost, mask, perm is not None)
     if perm is None:
-        yield report(NOT_ISOMORPHIC, reason="spectrum" if mask is None else "assignment")
+        yield end(NOT_ISOMORPHIC, reason="spectrum" if mask is None else "assignment")
         return
     if is_exact_isomorphism(a, b, perm):
-        yield report(ISOMORPHIC, perm)
+        yield end(ISOMORPHIC, perm)
         return
 
     # Pins weigh more than any loop of the inputs; set once a pin is needed.
@@ -534,13 +525,13 @@ def search(
             j = top.candidates[top.k]
             top.k += 1
             if symmetric(top, j):
-                pruned += 1
+                rep.pruned += 1
                 yield SearchEvent(level, top.i, j, float("inf"), None, False, pruned=True)
                 continue
             b_pinned = perturb(top.b, j, top.w)
             e, perm, mask = _evaluate(top.da, eigendecompose(b_pinned), eps)
-            decompositions += 1
-            lap_solves += mask is not None
+            rep.decompositions += 1
+            rep.lap_solves += mask is not None
             event = SearchEvent(level, top.i, j, e, mask, perm is not None)
             yield event
             if perm is None:
@@ -548,7 +539,7 @@ def search(
             top.accepted.append(j)
             top.pin = event
             if is_exact_isomorphism(a, b, perm):
-                yield report(ISOMORPHIC, perm)
+                yield end(ISOMORPHIC, perm)
                 return
             if (child := frame(top.a, b_pinned, mask)) is not None:
                 stack.append(child)
@@ -558,14 +549,14 @@ def search(
             images[[f.i for f in stack]] = [f.pin.j for f in stack]
             perm = Permutation(images) if np.unique(images).size == n else None
             if perm is not None and is_exact_isomorphism(a, b, perm):
-                yield report(ISOMORPHIC, perm)
+                yield end(ISOMORPHIC, perm)
                 return
         stack[-1].pin = None  # refuted, so no round even at the cap
-        backtracks += 1
-        if backtracks > opts.max_backtrack_steps:
-            yield report(INCONCLUSIVE, reason="backtrack_cap")
+        rep.backtrack_steps += 1
+        if rep.backtrack_steps > opts.max_backtrack_steps:
+            yield end(INCONCLUSIVE, reason="backtrack_cap")
             return
-    yield report(NOT_ISOMORPHIC, reason="exhaustion")
+    yield end(NOT_ISOMORPHIC, reason="exhaustion")
 
 
 def is_isomorphic(a: Graph, b: Graph, opts: SolverOptions | None = None) -> SolveReport:

@@ -260,7 +260,7 @@ class TestBench:
         assert main(["bench", "cycle", "6", "--trials", "0"]) == 3
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--seed", "--gen-seed"])
+    @pytest.mark.parametrize("flag", ["--seed"])
     def test_negative_seed_is_usage_error(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "random_gnp", "6", flag, "-5"])

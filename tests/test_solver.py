@@ -1184,6 +1184,25 @@ class TestSearchEvents:
             inner += report.inner_searches
         assert inner > 0
 
+    def test_decompositions_add_up_from_the_events(self, search_spy):
+        # each stream decomposes both inputs at its root, B once per pin it
+        # evaluates, and A once per new frame, whose first event is the
+        # first one at a level above its predecessor's (the root's is -1)
+        g = cfi(K33_EDGES)
+        twist = apply_permutation(cfi(K33_EDGES, twist=True), random_permutation(g.n, 1))
+        inner = 0
+        for name, a, b in _pairs_for_equivalence() + [("cfi(K3,3) twist", g, twist)]:
+            search_spy.calls.clear()
+            report = is_isomorphic(a, b)
+            total = 0
+            for *_, items in search_spy.calls:
+                levels = [-1 if e.level is None else e.level for e in items[:-1]]
+                total += 2 + sum(e.level is not None and not e.pruned for e in items[:-1])
+                total += sum(hi > lo for lo, hi in zip(levels, levels[1:]))
+            assert total == report.decompositions, name
+            inner += report.inner_searches
+        assert inner > 0
+
     def test_rounds_are_the_accepted_events(self):
         # a round is the event its level accepted, one per level still on
         # the stack, and a rejection leaves no level, so no round
