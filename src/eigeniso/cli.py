@@ -1,4 +1,4 @@
-"""Command-line frontend: check, bench, gen, and dump-cost subcommands.
+"""Command-line frontend: check, bench and gen subcommands.
 
 Exit codes of ``check`` follow a scriptable protocol: 0 isomorphic,
 1 not isomorphic, 2 inconclusive (backtrack cap hit), 3 for any error (bad
@@ -113,7 +113,14 @@ _REJECTION_MESSAGES = {
 def cmd_check(args: argparse.Namespace) -> int:
     a = load_graph(args.file_a)
     b = load_graph(args.file_b)
-    report = is_isomorphic(a, b, _options(args))
+    # The search itself, not is_isomorphic: load_graph has refused self-loops already.
+    for event in search(a, b, _options(args)):  # one event per candidate, then the report
+        if isinstance(event, SearchEvent) and args.masks_out and event.mask is not None:
+            if event.level is None:
+                _write_mask(event.mask, args.masks_out, 0)
+            elif event.accepted:  # round k is level k - 1; a backtrack rewrites its file
+                _write_mask(event.mask, args.masks_out, event.level + 1)
+    report = event
     if report.outcome == ISOMORPHIC:
         print("isomorphic")
         print(_two_row(report.permutation))
@@ -224,46 +231,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _write_mask(mask: np.ndarray, out_dir: str, round_index: int) -> None:
+    os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, f"mask_round{round_index}")
     np.savetxt(base + ".csv", mask, fmt="%d", delimiter=",")
     # Graymap with maxval 1: white (1) marks an assignable pair.
     header = f"P2\n{mask.shape[1]} {mask.shape[0]}\n1"
     np.savetxt(base + ".pgm", mask, fmt="%d", header=header, comments="")
-
-
-def cmd_dump_cost(args: argparse.Namespace) -> int:
-    a = load_graph(args.file_a)
-    b = load_graph(args.file_b)
-    # The search that check runs, which ends at the first verified
-    # assignment; a backtrack overwrites that round's file.
-    events = search(a, b, SolverOptions(eps=args.eps))
-    root = next(events)
-    if not isinstance(root, SearchEvent) or root.mask is None:
-        raise GraphFormatError("graphs differ in size or spectrum; nothing to dump")
-    os.makedirs(args.out, exist_ok=True)
-    _write_mask(root.mask, args.out, 0)
-    rounds = min(args.rounds, a.n)
-    written = 0  # the highest round with a mask file
-    while written < rounds:
-        event = next(events)
-        if not isinstance(event, SearchEvent):  # the search ended
-            if event.outcome == ISOMORPHIC:
-                print(
-                    f"search verified a permutation at round {len(event.rounds)}; "
-                    f"wrote {written + 1} mask file pair(s)"
-                )
-                return 0
-            print(
-                f"warning: no accepting assignment at round {written + 1}; "
-                f"wrote {written + 1} mask(s)",
-                file=sys.stderr,
-            )
-            break
-        if event.accepted:
-            _write_mask(event.mask, args.out, event.level + 1)
-            written = max(written, event.level + 1)
-    print(f"wrote {written + 1} mask file pair(s) to {args.out}")
-    return 0
 
 
 def _non_negative(text: str) -> int:
@@ -282,6 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("file_b")
     p_check.add_argument(
         "--perm-out", metavar="PATH", help="write the found permutation to a file"
+    )
+    p_check.add_argument(
+        "--masks-out", metavar="DIR", help="write the search's masks to DIR (CSV and PGM)"
     )
     _add_solver_flags(p_check)
     p_check.set_defaults(func=cmd_check)
@@ -305,16 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=_non_negative, default=0)
     p_gen.add_argument("-o", "--out", metavar="PATH")
     p_gen.set_defaults(func=cmd_gen)
-
-    p_dump = sub.add_parser(
-        "dump-cost", help="dump assignability masks per perturbation round"
-    )
-    p_dump.add_argument("file_a")
-    p_dump.add_argument("file_b")
-    p_dump.add_argument("--rounds", type=_non_negative, default=2)
-    p_dump.add_argument("-o", "--out", required=True, metavar="DIR")
-    p_dump.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p_dump.set_defaults(func=cmd_dump_cost)
 
     return parser
 

@@ -204,9 +204,11 @@ def cfi(base_edges, twist: bool = False) -> Graph:
 
 
 def _degree_signatures(adj: np.ndarray) -> list[tuple]:
-    deg = adj.sum(axis=1).astype(int)
+    pattern = adj != 0  # the edges, whatever their weights; loops left out
+    np.fill_diagonal(pattern, False)
+    deg = pattern.sum(axis=1)
     return [
-        (int(deg[i]), tuple(sorted(int(deg[j]) for j in np.flatnonzero(adj[i]))))
+        (int(deg[i]), tuple(sorted(int(deg[j]) for j in np.flatnonzero(pattern[i]))))
         for i in range(adj.shape[0])
     ]
 
@@ -214,18 +216,16 @@ def _degree_signatures(adj: np.ndarray) -> list[tuple]:
 def brute_force_isomorphism(a: Graph, b: Graph) -> Permutation | None:
     """Exhaustive isomorphism search with degree pruning; oracle for tests.
 
-    Returns some witness permutation if one exists, else None.  Guarded to
-    n <= 10 because the search is factorial in the worst case.
+    Returns some witness permutation if one exists, else None; every witness
+    passes :func:`is_exact_isomorphism`, weights and loops included.  Guarded
+    to n <= 10 because the search is factorial in the worst case.
     """
     if a.n > 10 or b.n > 10:
         raise ValueError("brute-force oracle limited to n <= 10")
     if a.n != b.n:
         return None
     n = a.n
-    aa = (a.adj != 0).astype(np.int8)
-    bb = (b.adj != 0).astype(np.int8)
-    np.fill_diagonal(aa, 0)
-    np.fill_diagonal(bb, 0)
+    aa, bb = a.adj, b.adj
     sig_a = _degree_signatures(aa)
     sig_b = _degree_signatures(bb)
     if sorted(sig_a) != sorted(sig_b):
@@ -241,7 +241,7 @@ def brute_force_isomorphism(a: Graph, b: Graph) -> Permutation | None:
             return True
         u = order[depth]
         for v in range(n):
-            if used[v] or sig_a[u] != sig_b[v]:
+            if used[v] or sig_a[u] != sig_b[v] or aa[u, u] != bb[v, v]:
                 continue
             if any(aa[u, w] != bb[v, mapping[w]] for w in order[:depth]):
                 continue

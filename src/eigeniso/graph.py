@@ -205,7 +205,11 @@ def _parse_plain(lines: list[tuple[int, list[str]]]) -> Graph:
 
 
 def format_graph(g: Graph, comment: str | None = None) -> str:
-    """Serialize a plain graph in DIMACS-style form."""
+    """Serialize a plain graph in DIMACS-style form; a weight or a loop raises ValueError."""
+    bad = np.argwhere((g.adj != 0) & ((g.adj != 1) | np.eye(g.n, dtype=bool)))
+    if len(bad):
+        u, v = bad[0]
+        raise ValueError(f"not a plain graph: entry ({u + 1}, {v + 1}) is {g.adj[u, v]:g}")
     out = []
     if comment:
         out.extend(f"c {ln}" for ln in comment.splitlines())
@@ -221,5 +225,6 @@ def load_graph(path) -> Graph:
 
 
 def save_graph(g: Graph, path, comment: str | None = None) -> None:
+    text = format_graph(g, comment)  # raises before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(g, comment))
+        fh.write(text)

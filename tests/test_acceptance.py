@@ -117,7 +117,7 @@ def test_04_cycle_walkthrough_masks(tmp_path):
     save_graph(g, fa)
     save_graph(h, fb)
     out = str(tmp_path / "masks")
-    code = cli_main(["dump-cost", fa, fb, "--rounds", "2", "-o", out])
+    code = cli_main(["check", fa, fb, "--masks-out", out])
 
     def mask(k):
         return np.loadtxt(

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
+import dataclasses
 import json
 import os
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from eigeniso import (
+    INCONCLUSIVE,
     Permutation,
+    SolveReport,
     SolverOptions,
     apply_permutation,
     cospectral_fixture,
@@ -19,6 +22,7 @@ from eigeniso import (
     save_graph,
     srg_fixture,
 )
+from eigeniso import cli
 from eigeniso.cli import main
 from eigeniso.generators import cfi, complete, cycle, paley, path
 from helpers import K33_EDGES, degrees
@@ -208,7 +212,7 @@ class TestEpsEnvVar:
             assert main(["check", fa, fa, "--eps", flag]) == 3
             assert "positive and finite" in capsys.readouterr().err
         out = str(tmp_path / "masks")
-        assert main(["dump-cost", fa, fa, "--eps", "nan", "-o", out]) == 3
+        assert main(["check", fa, fa, "--eps", "nan", "--masks-out", out]) == 3
         assert "positive and finite" in capsys.readouterr().err
 
     def test_bad_eps_is_error_whatever_the_sizes(self, tmp_path, capsys):
@@ -217,6 +221,14 @@ class TestEpsEnvVar:
         fb = _write(tmp_path, "b.col", cycle(6))
         assert main(["check", fa, fb, "--eps", "nan"]) == 3
         assert "positive and finite" in capsys.readouterr().err
+
+
+def _backtracked(a, b, opts):  # the real report, as if found after two backtracks
+    return dataclasses.replace(is_isomorphic(a, b, opts), backtrack_steps=2)
+
+
+def _inconclusive(a, b, opts):
+    return SolveReport(INCONCLUSIVE, None, reason="backtrack_cap")
 
 
 class TestBench:
@@ -256,6 +268,20 @@ class TestBench:
             assert main(["bench", *target, "--trials", "1"]) == 3, target
             assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "stub, code, tally",
+        [
+            (_backtracked, 0, {"nBT": 0, "BT": 3, "avg_steps": 2.0, "failures": 0}),
+            (_inconclusive, 3, {"nBT": 0, "BT": 0, "avg_steps": 0.0, "failures": 3}),
+        ],
+        ids=["backtracked", "inconclusive"],
+    )
+    def test_backtracks_and_failures_are_tallied(self, stub, code, tally, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "is_isomorphic", stub)
+        assert main(["bench", "cycle", "6", "--trials", "3"]) == code
+        rep = self._json(capsys)
+        assert {k: rep[k] for k in tally} == tally
+
     def test_zero_trials_is_error(self, capsys):
         assert main(["bench", "cycle", "6", "--trials", "0"]) == 3
         assert "error:" in capsys.readouterr().err
@@ -269,6 +295,8 @@ class TestBench:
 
 
 class TestDumpCost:
+    """check --masks-out: the root's mask and each accepted pin's, as files."""
+
     @staticmethod
     def _mask(out_dir, k):
         return np.loadtxt(
@@ -278,8 +306,8 @@ class TestDumpCost:
     def test_cycle_masks(self, tmp_path, capsys):
         fa, fb = _relabelled_cycle_pair(tmp_path)
         out = str(tmp_path / "masks")
-        assert main(["dump-cost", fa, fb, "--rounds", "2", "-o", out]) == 0
-        assert "wrote 3 mask file pair(s)" in capsys.readouterr().out
+        assert main(["check", fa, fb, "--masks-out", out]) == 0
+        assert capsys.readouterr().out.startswith("isomorphic\n")
 
         root = self._mask(out, 0)
         assert root.shape == (6, 6) and np.all(root == 1)
@@ -292,7 +320,7 @@ class TestDumpCost:
     def test_pgm_matches_csv(self, tmp_path):
         fa, fb = _relabelled_cycle_pair(tmp_path)
         out = str(tmp_path / "masks")
-        assert main(["dump-cost", fa, fb, "--rounds", "1", "-o", out]) == 0
+        assert main(["check", fa, fb, "--masks-out", out]) == 0
         with open(os.path.join(out, "mask_round1.pgm"), encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         assert lines[0] == "P2" and lines[1] == "6 6" and lines[2] == "1"
@@ -303,71 +331,53 @@ class TestDumpCost:
         # the two end vertices of P3 share a projector row; the root verifies
         fa = _write(tmp_path, "a.col", path(3))
         out = tmp_path / "masks"
-        assert main(["dump-cost", fa, fa, "-o", str(out)]) == 0
+        assert main(["check", fa, fa, "--masks-out", str(out)]) == 0
         assert (out / "mask_round0.csv").read_bytes() == b"1,0,1\n0,1,0\n1,0,1\n"
         assert (out / "mask_round0.pgm").read_bytes() == b"P2\n3 3\n1\n1 0 1\n0 1 0\n1 0 1\n"
         assert sorted(p.name for p in out.iterdir()) == ["mask_round0.csv", "mask_round0.pgm"]
 
     def test_root_mismatch_writes_nothing(self, tmp_path, capsys):
+        # a size or spectrum rejection has no mask: its certificate, and no directory
         fa = _write(tmp_path, "a.col", complete(3))
-        fb = _write(tmp_path, "b.col", path(3))
-        out = str(tmp_path / "masks")
-        assert main(["dump-cost", fa, fb, "-o", out]) == 3
-        assert "error:" in capsys.readouterr().err
-        assert not os.path.exists(out)
+        for other in (path(3), path(4)):
+            fb = _write(tmp_path, "b.col", other)
+            out = str(tmp_path / "masks")
+            assert main(["check", fa, fb, "--masks-out", out]) == 1
+            assert "certificate:" in capsys.readouterr().out
+            assert not os.path.exists(out)
 
-    def test_stall_warns_and_keeps_partial_output(self, tmp_path, capsys):
+    def test_assignment_rejection_keeps_the_root_mask(self, tmp_path, capsys):
         a, b = cospectral_fixture()
         fa, fb = _write(tmp_path, "a.col", a), _write(tmp_path, "b.col", b)
         out = str(tmp_path / "masks")
-        assert main(["dump-cost", fa, fb, "--rounds", "2", "-o", out]) == 0
-        err = capsys.readouterr().err
-        assert "no accepting assignment at round 1" in err
-        assert os.path.exists(os.path.join(out, "mask_round0.csv"))
-        assert not os.path.exists(os.path.join(out, "mask_round1.csv"))
+        assert main(["check", fa, fb, "--masks-out", out]) == 1
+        assert "no zero-cost assignment" in capsys.readouterr().out
+        assert sorted(os.listdir(out)) == ["mask_round0.csv", "mask_round0.pgm"]
         # the pair is cospectral but no projector-row assignment exists
         assert self._mask(out, 0).sum() == 0
-
-    def test_missing_out_dir_is_usage_error(self, tmp_path):
-        fa, fb = _relabelled_cycle_pair(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["dump-cost", fa, fb])
-        assert exc.value.code == 3
-
-    def test_negative_rounds_is_usage_error(self, tmp_path):
-        fa, fb = _relabelled_cycle_pair(tmp_path)
-        out = str(tmp_path / "masks")
-        with pytest.raises(SystemExit) as exc:
-            main(["dump-cost", fa, fb, "--rounds", "-1", "-o", out])
-        assert exc.value.code == 3
-        assert not os.path.exists(out)
-
-    def test_zero_rounds_writes_root_only(self, tmp_path, capsys):
-        a, b = srg_fixture()  # a search that would end in exhaustion
-        fa, fb = _write(tmp_path, "a.col", a), _write(tmp_path, "b.col", b)
-        out = str(tmp_path / "masks")
-        assert main(["dump-cost", fa, fb, "--rounds", "0", "-o", out]) == 0
-        captured = capsys.readouterr()
-        assert "wrote 1 mask file pair(s)" in captured.out
-        assert captured.err == ""
-        assert sorted(os.listdir(out)) == ["mask_round0.csv", "mask_round0.pgm"]
 
     def test_backtracking_search_writes_every_round(self, tmp_path, capsys):
         # The first pins accepted here dead-end at round 4; the search backtracks once.
         a = apply_permutation(paley(37), random_permutation(37, 25))
         fa, fb = _write(tmp_path, "a.col", a), _write(tmp_path, "b.col", paley(37))
         out = str(tmp_path / "masks")
-        assert main(["dump-cost", fa, fb, "--rounds", "4", "-o", out]) == 0
-        captured = capsys.readouterr()
-        assert "wrote 5 mask file pair(s)" in captured.out
-        assert "warning" not in captured.err
-        for k in range(5):
-            assert os.path.exists(os.path.join(out, f"mask_round{k}.pgm"))
+        assert main(["check", fa, fb, "--masks-out", out]) == 0
+        assert "stats: rounds=5 backtracks=1 " in capsys.readouterr().out
+        assert sorted(os.listdir(out)) == [
+            f"mask_round{k}.{ext}" for k in range(6) for ext in ("csv", "pgm")
+        ]
+        # the cap ends the dump where it ends the search; the refuted round 3 keeps its file
+        out = str(tmp_path / "capped")
+        assert main(["check", fa, fb, "--max-backtrack", "0", "--masks-out", out]) == 2
+        assert "stats: rounds=2 backtracks=1 " in capsys.readouterr().out
+        assert sorted(os.listdir(out)) == [
+            f"mask_round{k}.{ext}" for k in range(4) for ext in ("csv", "pgm")
+        ]
 
     def test_masks_match_search_rounds(self, tmp_path):
         fa, fb = _relabelled_cycle_pair(tmp_path)
         out = str(tmp_path / "masks")
-        assert main(["dump-cost", fa, fb, "--rounds", "6", "-o", out]) == 0
+        assert main(["check", fa, fb, "--masks-out", out]) == 0
         report = is_isomorphic(load_graph(fa), load_graph(fb))
         assert len(report.rounds) == 2
         for k in range(1, 3):
@@ -376,20 +386,14 @@ class TestDumpCost:
     def test_verified_search_ends_the_dump(self, tmp_path, capsys):
         fa, fb = _relabelled_cycle_pair(tmp_path)
         out = str(tmp_path / "masks")
-        assert main(["dump-cost", fa, fb, "--rounds", "6", "-o", out]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == (
-            "search verified a permutation at round 2; wrote 3 mask file pair(s)\n"
-        )
-        assert captured.err == ""
+        assert main(["check", fa, fb, "--masks-out", out]) == 0
+        assert "stats: rounds=2 " in capsys.readouterr().out
         assert sorted(os.listdir(out)) == [
             f"mask_round{k}.{ext}" for k in range(3) for ext in ("csv", "pgm")
         ]
         # a rotation is verified at the root
         fa, fb = _rotated_cycle_pair(tmp_path)
         out = str(tmp_path / "root")
-        assert main(["dump-cost", fa, fb, "--rounds", "2", "-o", out]) == 0
-        captured = capsys.readouterr()
-        assert "verified a permutation at round 0; wrote 1 mask" in captured.out
-        assert captured.err == ""
+        assert main(["check", fa, fb, "--masks-out", out]) == 0
+        assert "stats: rounds=0 " in capsys.readouterr().out
         assert sorted(os.listdir(out)) == ["mask_round0.csv", "mask_round0.pgm"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eigeniso import (
+    Graph,
     Permutation,
     apply_permutation,
     brute_force_isomorphism,
@@ -14,6 +15,7 @@ from eigeniso import (
     eigendecompose,
     generate,
     is_exact_isomorphism,
+    perturb,
     srg_fixture,
 )
 from eigeniso.generators import (
@@ -100,6 +102,19 @@ class TestFamilies:
         assert np.all(np.diag(a.adj) == 0)
         # edge density sanity for p = 0.5
         assert 0.3 < edge_count(a) / 190 < 0.7
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: lattice(1), "lattice needs k >= 2"),
+            (lambda: triangular(2), "triangular needs k >= 3"),
+            (lambda: random_gnp(0, 1), "random graph needs at least 1 vertex"),
+        ],
+        ids=["lattice", "triangular", "random_gnp"],
+    )
+    def test_too_small_is_error(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_generate_dispatch(self):
         assert generate("cycle", 6).n == 6
@@ -280,6 +295,16 @@ class TestBruteForceOracle:
     def test_absent_for_cospectral_pair(self):
         a, b = cospectral_fixture()
         assert brute_force_isomorphism(a, b) is None
+
+    def test_weights_and_loops_are_compared(self):
+        # each pair has one 0/1 pattern; only the entries tell them apart
+        for a, b in (
+            (Graph([[0, 2], [2, 0]]), Graph([[0, 1], [1, 0]])),
+            (perturb(cycle(6), 0, 1.0), perturb(cycle(6), 0, 2.0)),
+        ):
+            assert brute_force_isomorphism(a, b) is None
+        a, b = perturb(cycle(6), 0, 2.0), perturb(cycle(6), 3, 2.0)
+        assert is_exact_isomorphism(a, b, brute_force_isomorphism(a, b))
 
     def test_size_mismatch_is_negative(self):
         assert brute_force_isomorphism(cycle(4), cycle(5)) is None

@@ -62,6 +62,21 @@ class TestGraphType:
         assert list(degrees(perturb(g, 0, 2.0))) == [3, 3, 3, 3]
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Permutation([[0, 1], [1, 0]]), ValueError, "must be a flat sequence"),
+        (lambda: random_permutation(0, 1), ValueError, "n must be positive"),
+        (lambda: parse_graph("c\ne 1 2\np edge 2 1\n"), GraphFormatError, "^line 2: edge before"),
+        (lambda: parse_graph("c only\nc comments\n"), GraphFormatError, "missing problem line"),
+    ],
+    ids=["2-d permutation", "empty permutation", "edge before p line", "comments only"],
+)
+def test_raises(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
@@ -291,6 +306,19 @@ class TestFileFormats:
             path = tmp_path / name
             path.write_bytes(b"\xef\xbb\xbf" + text.encode())
             assert np.array_equal(load_graph(path).adj, complete(3).adj)
+
+    def test_writer_rejects_weights_and_loops(self, tmp_path):
+        # the format would reload a weight as 1 and drop a loop
+        path = tmp_path / "g.col"
+        for g, entry in (
+            (Graph([[0, 2], [2, 0]]), r"entry \(1, 2\) is 2$"),
+            (perturb(cycle(3), 0, 5.0), r"entry \(1, 1\) is 5$"),
+        ):
+            with pytest.raises(ValueError, match=entry):
+                format_graph(g)
+            with pytest.raises(ValueError, match=entry):
+                save_graph(g, path)
+            assert not path.exists()
 
     def test_writer_round_trip(self, tmp_path):
         g = cycle(9)

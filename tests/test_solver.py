@@ -1153,7 +1153,7 @@ class TestOptions:
 
 
 class TestSearchEvents:
-    """solver.search: the event stream behind is_isomorphic and dump-cost."""
+    """solver.search: the event stream behind is_isomorphic and check."""
 
     @staticmethod
     def _fields(report):
