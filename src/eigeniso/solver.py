@@ -7,43 +7,59 @@ Both sides of a pair use one partition, cut only where both spectra have a
 gap of at least eps, and one function, :func:`_decide`, decides every cost
 matrix.  Repeated eigenvalues leave the assignment ambiguous, so the search
 pins level by level.  Level L takes the free vertex i of A whose row of the
-last accepted mask offers the fewest B-vertices, at least two, puts a
-self-loop of weight base + L + 1 on it, base being the largest loop weight
-of the inputs, and scans those B-vertices for a partner whose equally
-pinned graph keeps a perfect matching in the sub-eps mask.  No row offers a
-pinned B-vertex, set apart by its heavy loop; one offered at an eps far
-above rounding would only be one more candidate.  Each level is a frame on
-a stack; an accepted pin pushes the next frame, and a level out of
-candidates pops its frame and the pin above it (backtracking).  Each
-accepted cost matrix comes with the mask's matching as its assignment, and
-the search ends at the first one, at the root or at a pin, that maps the
-inputs onto each other entry for entry, diagonal included
-(:func:`is_exact_isomorphism`).  A mask in which no free row offers two
-B-vertices forces the map, pinned rows to their pins and free rows to their
-one entry; that map alone is checked, and a pin whose map fails is a dead
-end.  :func:`search` yields one event per candidate and the report last;
-:func:`is_isomorphic` reads the report, ``dump-cost`` the events' masks.
+parent mask (at level 0, the root's sub-eps mask) offers the fewest
+B-vertices, at least two, puts a self-loop of weight base + L + 1 on it,
+base being the largest loop weight of the inputs, and scans those
+B-vertices for a partner whose equally pinned graph keeps a perfect
+matching in the sub-eps mask.  Before a candidate j costs a
+decomposition, the parent mask with row i and column j cleared and (i, j)
+set is refined to arc consistency (:func:`_arc_consistency`); a row or
+column left empty refutes the pin.  An accepted pin's child mask, the
+parent mask of the next level, is its sub-eps mask cut to that fixpoint,
+and a line empty there refutes the pin too.  Each fixpoint keeps its pinned
+rows and columns to their pins alone, so no level offers a B-vertex pinned
+above it, at any eps.  Each level is a frame on a stack; an accepted pin
+pushes the next frame, and a level out of candidates pops its frame and the
+pin above it (backtracking).  Each accepted cost matrix comes with the
+mask's matching as its assignment, and the search ends at the first one, at
+the root or at a pin, that maps the inputs onto each other entry for entry,
+diagonal included (:func:`is_exact_isomorphism`).  A child mask in which no
+row offers two B-vertices is the one map it forces, pinned rows to their
+pins and free rows to their one entry; that map alone is checked, and a pin
+whose map fails is a dead end.  :func:`search` yields one event per
+candidate and the report last; :func:`is_isomorphic` reads the report,
+``check --masks-out`` the events' masks.
 
 What exhaustion proves.  Every rejection in the search is a necessary
-condition failing: the pinned spectra differ by more than eps, or the
-sub-eps mask has no perfect matching.  Let pi be an isomorphism extending
-the pins so far.  The pinned graphs are isomorphic through pi, so every
-c[x][pi(x)] is zero up to rounding and pi lies in the mask: a forced map is
-pi, else level L's candidates, the row of its vertex i, contain pi(i), and
-the pin (i, pi(i)) passes both tests.  Level L also skips a candidate j when
-an automorphism sigma of B that fixes every pinned B-vertex maps a candidate
-j0 it has exhausted onto j: were pi(i) = j, then sigma^-1 pi would extend
-the pins with (i, j0), which j0's exhaustion ruled out.  Each sigma comes
-from a search of this kind, capped at a few backtracks, between B pinned at
-j0 and B pinned at j with level L's weight, and is kept only once it maps
-the one onto the other entry for entry, diagonal included, fixes the pins
-and sends j0 to j; the group of the kept ones that fix the pins gives the
-orbits.  The orbit step thus adds no numerical premise.  By induction an
-exhausted tree rules out every isomorphism, provided a true isomorphism's
-entries c[x][pi(x)] stay below eps.  That premise is numerical: rounding
-must stay far below eps, and both sides must be grouped alike, which the
-shared partition ensures.  As the premise is not checked, exhaustion is
-reported as reason ``"exhaustion"``, a heuristic.
+condition failing: the pinned spectra differ by more than eps, the sub-eps
+mask has no perfect matching, or a consistency fixpoint leaves a line
+empty.  Let pi be an isomorphism extending the pins so far.  The pinned
+graphs are isomorphic through pi, so every c[x][pi(x)] is zero up to
+rounding and pi lies in the sub-eps mask of each of its pins.  It lies in
+each parent mask too, by induction over the levels: if pi lies in level
+L's parent mask, it lies in that mask with row i and column pi(i) cleared
+and (i, pi(i)) set.  There each pair (x, pi(x)) is supported by pi's own
+pairs: a neighbour x' of x has the partner pi(x') among the neighbours of
+pi(x), and the other way round, since pi maps nonzero weights, the edges
+the filter reads, onto nonzero weights.  A pass drops only unsupported
+pairs, so the fixpoint keeps pi whole, and so does the child mask, the
+fixpoint cut to the sub-eps mask.  So a forced map is pi, else level L's
+candidates, the row of its vertex i, contain pi(i), and the pin (i, pi(i))
+passes all three tests: the filter adds no premise to the one below.
+Level L also skips a candidate j when an automorphism sigma of B that fixes
+every pinned B-vertex maps a candidate j0 it has ruled out (refuted,
+rejected or exhausted) onto j: were pi(i) = j, then sigma^-1 pi would
+extend the pins with (i, j0), which j0's failure ruled out.  Each sigma
+comes from a search of this kind, capped at a few backtracks, between B
+pinned at j0 and B pinned at j with level L's weight, and is kept only once
+it maps the one onto the other entry for entry, diagonal included, fixes
+the pins and sends j0 to j; the group of the kept ones that fix the pins
+gives the orbits.  The orbit step thus adds no numerical premise.  By
+induction an exhausted tree rules out every isomorphism, provided a true
+isomorphism's entries c[x][pi(x)] stay below eps.  That premise is
+numerical: rounding must stay far below eps, and both sides must be
+grouped alike, which the shared partition ensures.  As the premise is not
+checked, exhaustion is reported as reason ``"exhaustion"``, a heuristic.
 """
 
 from __future__ import annotations
@@ -358,6 +374,48 @@ def _evaluate(
     return _decide(build_cost_matrix(da, db, eps), eps)
 
 
+def _pattern(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """g's off-diagonal nonzeros as a 0/1 float32 matrix, and its degrees.
+
+    Any nonzero weight counts as an edge.  float32 holds every count of
+    :func:`_arc_consistency` exactly, up to 2**24.
+    """
+    edges = (g.adj != 0).astype(np.float32)
+    np.fill_diagonal(edges, 0)
+    return edges, edges.sum(axis=1)
+
+
+def _lines_full(mask: np.ndarray) -> bool:
+    """Whether every row and every column of ``mask`` holds an entry."""
+    return bool(mask.any(axis=1).all() and mask.any(axis=0).all())
+
+
+def _arc_consistency(
+    mask: np.ndarray, pa: tuple[np.ndarray, np.ndarray], pb: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray | None:
+    """The largest submask of ``mask`` in which every pair is supported, or
+    None once a row or column of it is empty.
+
+    ``pa`` and ``pb`` are the :func:`_pattern` of A and B.  A pair (x, y)
+    is supported while every neighbour of x has a partner in the mask among
+    the neighbours of y, and every neighbour of y has one among those of x.
+    Each pass drops every pair unsupported in the last mask, until a pass
+    drops none (Ullmann 1976).
+    """
+    (a, deg_a), (b, deg_b) = pa, pb
+    count = np.count_nonzero(mask)
+    while True:
+        m = mask.astype(np.float32)
+        ok = np.matmul(a, m @ b > 0, dtype=np.float32) == deg_a[:, None]
+        ok &= np.matmul(a @ m > 0, b, dtype=np.float32) == deg_b
+        mask = mask & ok
+        if not _lines_full(mask):
+            return None
+        if (kept := np.count_nonzero(mask)) == count:
+            return mask
+        count = kept
+
+
 class SearchEvent(NamedTuple):
     """One candidate pair: vertex i of A pinned against vertex j of B at a level.
 
@@ -365,9 +423,12 @@ class SearchEvent(NamedTuple):
     mask are those of :func:`_evaluate` (mask None when no cost matrix was
     built); accepted means the pair passed: the mask holds a perfect
     matching.  An accepted cost is that matching's row-order sum, an upper
-    bound of the optimum.  pruned marks a candidate skipped unevaluated,
-    since an automorphism of B that fixes the pins maps an exhausted
-    candidate onto it; its cost is inf and its mask None.
+    bound of the optimum, and its mask the pin's sub-eps mask, before the
+    search cuts it to the consistency fixpoint.  Two forms have cost inf,
+    mask None and accepted False, and neither was decomposed: pruned marks
+    a candidate skipped since an automorphism of B that fixes the pins maps
+    a candidate already ruled out onto it, and a candidate with pruned
+    False was refuted by :func:`_arc_consistency` on the parent mask.
     """
 
     level: int | None
@@ -403,9 +464,10 @@ class _Frame:
 
     i is the A-vertex this level pins with loop weight w, a is A pinned
     through this level, da its decomposition, b is B before this level's
-    pin; candidates are the B-vertices tried in order, k the next one's
-    index, accepted the tried ones whose pin passed, and pin the event
-    this level accepted last, while its subtree is being searched.
+    pin, mask the parent mask whose row i lists the candidates, the
+    B-vertices tried in order; k is the next one's index, accepted the
+    tried ones whose pin passed, and pin the event this level accepted
+    last, while its subtree is being searched.
     """
 
     i: int
@@ -413,6 +475,7 @@ class _Frame:
     a: Graph
     da: SpectralDecomposition
     b: Graph
+    mask: np.ndarray
     candidates: list[int]
     k: int = 0
     accepted: list[int] = field(default_factory=list)
@@ -462,7 +525,6 @@ def search(
         """Next level: the free A-vertex offered the fewest B-vertices, at least two; else None."""
         sizes = mask.sum(axis=1)
         sizes[sizes < 2] = n + 1
-        sizes[[f.i for f in stack]] = n + 1
         if sizes.min() > n:
             return None
         i = int(sizes.argmin())
@@ -470,19 +532,20 @@ def search(
         a_pinned = perturb(a_prev, i, w)
         candidates = np.flatnonzero(mask[i]).tolist()
         rep.decompositions += 1
-        return _Frame(i, w, a_pinned, eigendecompose(a_pinned), b_prev, candidates)
+        return _Frame(i, w, a_pinned, eigendecompose(a_pinned), b_prev, mask, candidates)
 
-    def symmetric(top: _Frame, j: int) -> bool:
-        """Whether an automorphism of b fixing the pins above top maps a
-        candidate top has exhausted onto j.
-
-        Stored automorphisms answer first.  Otherwise a capped search from
-        each accepted candidate may find a new one.
-        """
+    def in_orbit(top: _Frame, j: int) -> bool:
+        """Whether a kept automorphism of b fixing the pins above top maps a
+        candidate top has ruled out onto j."""
         pins = [f.pin.j for f in stack[:-1]]
         fixing = [s for s in automorphisms if (s[pins] == pins).all()]
-        if _orbit(top.candidates[: top.k - 1], fixing, n)[j]:
-            return True
+        return bool(_orbit(top.candidates[: top.k - 1], fixing, n)[j])
+
+    def finds_automorphism(top: _Frame, j: int) -> bool:
+        """Whether a capped search from a candidate top accepted finds an
+        automorphism of b fixing the pins above top that maps it onto j;
+        one found is kept."""
+        pins = [f.pin.j for f in stack[:-1]]
         for j0 in top.accepted:
             x, y = perturb(top.b, j0, top.w), perturb(top.b, j, top.w)
             inner = deque(search(x, y, SolverOptions(eps, _AUTOMORPHISM_BACKTRACKS)), maxlen=1)[0]
@@ -509,8 +572,10 @@ def search(
         yield end(ISOMORPHIC, perm)
         return
 
-    # Pins weigh more than any loop of the inputs; set once a pin is needed.
+    # Pins weigh more than any loop of the inputs.  Both are set once a pin
+    # is needed, as are the edge patterns the consistency filter reads.
     base = max(np.abs(np.diag(a.adj)).max(), np.abs(np.diag(b.adj)).max())
+    pa, pb = _pattern(a), _pattern(b)
     if (top := frame(a, b, mask)) is not None:  # else the mask is the failed matching
         stack.append(top)
     while stack:
@@ -524,7 +589,22 @@ def search(
         else:
             j = top.candidates[top.k]
             top.k += 1
-            if symmetric(top, j):
+            # The cheapest test first: kept automorphisms, then the
+            # consistency filter on the parent mask, so that a refuted pin
+            # costs no decomposition and starts no search for a new one.
+            if in_orbit(top, j):
+                rep.pruned += 1
+                yield SearchEvent(level, top.i, j, float("inf"), None, False, pruned=True)
+                continue
+            pinned = top.mask.copy()
+            pinned[top.i] = False
+            pinned[:, j] = False
+            pinned[top.i, j] = True
+            consistent = _arc_consistency(pinned, pa, pb)
+            if consistent is None:
+                yield SearchEvent(level, top.i, j, float("inf"), None, False)
+                continue
+            if finds_automorphism(top, j):
                 rep.pruned += 1
                 yield SearchEvent(level, top.i, j, float("inf"), None, False, pruned=True)
                 continue
@@ -541,16 +621,19 @@ def search(
             if is_exact_isomorphism(a, b, perm):
                 yield end(ISOMORPHIC, perm)
                 return
-            if (child := frame(top.a, b_pinned, mask)) is not None:
-                stack.append(child)
-                continue
-            # The mask forces the map; if it fails, the pin is a dead end.
-            images = mask.argmax(axis=1)
-            images[[f.i for f in stack]] = [f.pin.j for f in stack]
-            perm = Permutation(images) if np.unique(images).size == n else None
-            if perm is not None and is_exact_isomorphism(a, b, perm):
-                yield end(ISOMORPHIC, perm)
-                return
+            # The next level reads the sub-eps mask cut to the fixpoint; a
+            # line left empty refutes the pin.
+            consistent &= mask
+            if _lines_full(consistent):
+                if (child := frame(top.a, b_pinned, consistent)) is not None:
+                    stack.append(child)
+                    continue
+                # Each line holds one entry, so the mask is the one map it
+                # forces; if that fails, the pin is a dead end.
+                perm = Permutation(consistent.argmax(axis=1))
+                if is_exact_isomorphism(a, b, perm):
+                    yield end(ISOMORPHIC, perm)
+                    return
         stack[-1].pin = None  # refuted, so no round even at the cap
         rep.backtrack_steps += 1
         if rep.backtrack_steps > opts.max_backtrack_steps:

@@ -154,6 +154,33 @@ def perfect_matchings(mask: np.ndarray) -> int:
     return count
 
 
+def arc_consistency_reference(mask: np.ndarray, a: Graph, b: Graph) -> np.ndarray:
+    """Ullmann's refinement of ``mask`` run pair by pair to its fixpoint.
+
+    A pair (x, y) stays while the mask restricted to the neighbours of x
+    (rows) and of y (columns) has no empty row and no empty column; any
+    nonzero off-diagonal weight is an edge.  The largest such submask is
+    unique, so the order pairs are visited in does not matter.  The
+    reference for the solver's matrix form; empty lines are kept, not
+    reported.
+    """
+    def neighbours(g: Graph) -> list[np.ndarray]:
+        off = (g.adj != 0) & ~np.eye(g.n, dtype=bool)
+        return [np.flatnonzero(row) for row in off]
+
+    na, nb = neighbours(a), neighbours(b)
+    m = np.array(mask, dtype=bool)
+    changed = True
+    while changed:
+        changed = False
+        for x, y in zip(*np.nonzero(m)):
+            sub = m[np.ix_(na[x], nb[y])]
+            if not (sub.any(axis=1).all() and sub.any(axis=0).all()):
+                m[x, y] = False
+                changed = True
+    return m
+
+
 def char_poly_spectrum(adj: np.ndarray) -> np.ndarray:
     """Eigenvalues via the characteristic polynomial, as an independent oracle."""
     coeffs = np.poly(adj)

@@ -24,7 +24,7 @@ from eigeniso import (
 )
 from eigeniso import cli
 from eigeniso.cli import main
-from eigeniso.generators import cfi, complete, cycle, paley, path
+from eigeniso.generators import cfi, complete, cycle, path
 from helpers import K33_EDGES, degrees
 
 
@@ -357,21 +357,23 @@ class TestDumpCost:
         assert self._mask(out, 0).sum() == 0
 
     def test_backtracking_search_writes_every_round(self, tmp_path, capsys):
-        # The first pins accepted here dead-end at round 4; the search backtracks once.
-        a = apply_permutation(paley(37), random_permutation(37, 25))
-        fa, fb = _write(tmp_path, "a.col", a), _write(tmp_path, "b.col", paley(37))
+        # CFI(K3,3) against its relabelled twist: pins reach level 4 (round 5)
+        # and the search backtracks 5 times before exhaustion leaves no round.
+        a = cfi(K33_EDGES)
+        b = apply_permutation(cfi(K33_EDGES, twist=True), random_permutation(a.n, 1))
+        fa, fb = _write(tmp_path, "a.col", a), _write(tmp_path, "b.col", b)
         out = str(tmp_path / "masks")
-        assert main(["check", fa, fb, "--masks-out", out]) == 0
-        assert "stats: rounds=5 backtracks=1 " in capsys.readouterr().out
+        assert main(["check", fa, fb, "--masks-out", out]) == 1
+        assert "stats: rounds=0 backtracks=5 " in capsys.readouterr().out
         assert sorted(os.listdir(out)) == [
             f"mask_round{k}.{ext}" for k in range(6) for ext in ("csv", "pgm")
         ]
-        # the cap ends the dump where it ends the search; the refuted round 3 keeps its file
+        # the cap ends the dump where it ends the search; the refuted round 5 keeps its file
         out = str(tmp_path / "capped")
         assert main(["check", fa, fb, "--max-backtrack", "0", "--masks-out", out]) == 2
-        assert "stats: rounds=2 backtracks=1 " in capsys.readouterr().out
+        assert "stats: rounds=4 backtracks=1 " in capsys.readouterr().out
         assert sorted(os.listdir(out)) == [
-            f"mask_round{k}.{ext}" for k in range(4) for ext in ("csv", "pgm")
+            f"mask_round{k}.{ext}" for k in range(6) for ext in ("csv", "pgm")
         ]
 
     def test_masks_match_search_rounds(self, tmp_path):

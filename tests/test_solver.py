@@ -43,6 +43,7 @@ from helpers import (
     K4_EDGES,
     K33_EDGES,
     SearchSpy,
+    arc_consistency_reference,
     dense_norm_bound,
     eigen_groups,
     lap_brute_force,
@@ -330,6 +331,10 @@ def search_spy(monkeypatch):
     return spy
 
 
+def _lines_full(mask):
+    return mask.any(axis=0).all() and mask.any(axis=1).all()
+
+
 def _has_matching(mask):
     """Whether a boolean mask holds a perfect matching, by the Hungarian."""
     return solve_lap((~mask).astype(float)).cost == 0
@@ -551,17 +556,20 @@ def _scan_all_search(a, b, eps=1e-6):
     """The search without mask-guided lists or pruning, with its own matching
     test, as a reference.
 
-    Level L pins the A-vertex that :func:`_fail_first` picks from the last
-    accepted mask and tries every B-vertex not yet pinned.  A pair passes
-    when its sub-eps mask holds a perfect matching, as a Hungarian solve on the
-    mask's complement finds, and every cost is the Hungarian optimum of its
-    cost matrix or a spectral distance.  Each accepted pair verifies the
-    assignment that solver._decide proposes, as the search does, and the
-    first that holds ends the search.  Where no level follows, the
-    :func:`_forced_map` is checked too, and a pin whose map fails is a dead
-    end.  Returns the report's fields, its
-    (cost, accepted) pairs (the root's, then the rounds'), and its
-    operation counts.
+    Level L pins the A-vertex that :func:`_fail_first` picks from its
+    parent mask and tries every B-vertex not yet pinned.  A pin is first
+    refined on the parent mask by :func:`arc_consistency_reference`, and
+    one that leaves a line empty is refuted with no decomposition.  A pair
+    passes when its sub-eps mask holds a perfect matching, as a Hungarian
+    solve on the mask's complement finds, and every cost is the Hungarian
+    optimum of its cost matrix or a spectral distance.  Each accepted pair
+    verifies the assignment that solver._decide proposes, as the search
+    does, and the first that holds ends the search.  The next level's
+    parent mask is the sub-eps mask cut to the fixpoint; a line empty there
+    refutes the pin, and where no level follows, the :func:`_forced_map` is
+    checked too, and a pin whose map fails is a dead end.  Returns the
+    report's fields, its (cost, accepted) pairs (the root's, then the
+    rounds'), and its operation counts.
     """
     n = a.n
     counts = {"dec": 2, "lap": 0, "bt": 0}
@@ -596,6 +604,12 @@ def _scan_all_search(a, b, eps=1e-6):
         for j in range(n):
             if any(r[1] == j for r in rounds):
                 continue
+            pinned = mask.copy()
+            pinned[i], pinned[:, j] = False, False
+            pinned[i, j] = True
+            consistent = arc_consistency_reference(pinned, a, b)
+            if not _lines_full(consistent):
+                continue
             b_pinned = perturb(b_prev, j, level + 1.0)
             db = eigendecompose(b_pinned)
             counts["dec"] += 1
@@ -609,13 +623,14 @@ def _scan_all_search(a, b, eps=1e-6):
             perm = solver._decide(c, eps)[1]
             if is_exact_isomorphism(a, b, perm):
                 return perm
-            child = _fail_first(c < eps, rounds)
+            consistent &= c < eps
+            child = _fail_first(consistent, rounds) if _lines_full(consistent) else None
             if child is not None:
-                found = descend(level + 1, a_pinned, b_pinned, c < eps, child)
+                found = descend(level + 1, a_pinned, b_pinned, consistent, child)
                 if found is not None:
                     return found
-            else:
-                forced = _forced_map(c < eps, rounds)
+            elif _lines_full(consistent):
+                forced = _forced_map(consistent, rounds)
                 if forced is not None and is_exact_isomorphism(a, b, forced):
                     return forced
             counts["bt"] += 1
@@ -789,15 +804,15 @@ class TestIsIsomorphicAccepts:
         assert (report.decompositions, report.lap_solves) == (2, 1)
 
     def test_first_verified_pin_ends_the_search(self):
-        # the third pin's sub-eps assignment holds, while its mask still
-        # holds more than one permutation; the third level pins A-vertex 3,
-        # whose row offers the fewest candidates
+        # the second pin's sub-eps assignment holds, while its mask still
+        # holds more than one permutation; the second level pins A-vertex 1,
+        # whose row of the refined mask offers the fewest candidates
         g = paley(13)
         b = apply_permutation(g, random_permutation(13, 77))
         report = is_isomorphic(g, b)
         assert report.outcome == ISOMORPHIC
         assert is_exact_isomorphism(g, b, report.permutation)
-        assert [r.i for r in report.rounds] == [0, 1, 3]
+        assert [r.i for r in report.rounds] == [0, 1]
         assert report.rounds[-1].mask.sum() > 13
         assert report.backtrack_steps == 0
 
@@ -954,21 +969,125 @@ class TestForcedMap:
         assert (report.outcome, report.reason) == (NOT_ISOMORPHIC, "exhaustion")
         assert (report.decompositions, report.backtrack_steps) == (2, 0)
 
-    def test_loose_eps_pins_a_b_vertex_twice(self):
-        # at eps = 2 a pin's loop no longer sets its B-vertex apart, so a mask
-        # offers it again and a level may pin it twice; a forced map that
-        # repeats a B-vertex is no bijection, so it is a dead end, not checked
+    def test_loose_eps_never_pins_a_b_vertex_twice(self, search_spy):
+        # at eps = 2 a pin's loop no longer sets its B-vertex apart, so the
+        # sub-eps masks offer it again; the parent mask a pin is refined on
+        # has the pinned columns cleared, so no stream, an inner search's
+        # included, pins one B-vertex at two levels at once
         g = path(3)
         b = apply_permutation(g, random_permutation(3, 0))
-        *events, report = solver.search(g, b, SolverOptions(eps=2.0))
-        pins, full_repeated = [], 0
-        for e in events:
-            if e.level is not None and e.accepted:
-                pins[e.level :] = [e.j]
-                full_repeated += len(pins) == 3 and len(set(pins)) < 3
-        assert full_repeated > 0
+        report = is_isomorphic(g, b, SolverOptions(eps=2.0))
+        assert any(
+            e.mask[:, e.j].sum() > 1
+            for *_, items in search_spy.calls
+            for e in items[:-1]
+            if e.level is not None and e.accepted
+        )
+        pinned = 0
+        for *_, items in search_spy.calls:
+            pins = []
+            for e in items[:-1]:
+                if e.level is not None and not e.pruned:
+                    assert e.j not in pins[: e.level]
+                    pinned += 1
+                if e.level is not None and e.accepted:
+                    pins[e.level :] = [e.j]
+        assert pinned > 0
         assert report.outcome == ISOMORPHIC
         assert is_exact_isomorphism(g, b, report.permutation)
+
+
+class TestArcConsistency:
+    """solver._arc_consistency, which refutes a pin before its decomposition."""
+
+    @staticmethod
+    def cases():
+        # random_gnp(10)'s edges weighted 1-3, and loops on every third vertex
+        g = random_gnp(10, 5)
+        weights = np.triu(g.adj * np.random.default_rng(5).integers(1, 4, size=(10, 10)), 1)
+        weighted = weights + weights.T + np.diag([2.0 * (v % 3 == 0) for v in range(10)])
+        return [
+            ("paley(13)", paley(13)),
+            ("lattice(4)", lattice(4)),
+            ("triangular(6)", triangular(6)),
+            ("cfi(K3,3)", cfi(K33_EDGES)),
+            ("random_gnp(12)", random_gnp(12, 4)),
+            ("weights and loops", Graph(weighted)),
+        ]
+
+    @staticmethod
+    def pin(mask, i, j):
+        mask[i], mask[:, j] = False, False
+        mask[i, j] = True
+        return mask
+
+    def test_keeps_every_pair_of_an_isomorphism(self):
+        # an isomorphism pi inside the mask supports each of its own pairs,
+        # so the fixpoint under the pin (i, pi(i)) keeps every (x, pi(x))
+        rng = np.random.default_rng(27)
+        dropped = 0
+        for name, g in self.cases():
+            n = g.n
+            for trial in range(10):
+                pi = random_permutation(n, trial)
+                b = apply_permutation(g, pi)
+                mask = rng.random((n, n)) < rng.uniform(0.2, 0.9)
+                mask[np.arange(n), pi.map] = True
+                i = int(rng.integers(n))
+                mask = self.pin(mask, i, pi[i])
+                got = solver._arc_consistency(mask, solver._pattern(g), solver._pattern(b))
+                assert got is not None, (name, trial)
+                assert got[np.arange(n), pi.map].all(), (name, trial)
+                assert np.array_equal(got, arc_consistency_reference(mask, g, b)), (name, trial)
+                dropped += int(mask.sum() - got.sum())
+        assert dropped > 0
+
+    def test_matches_the_pair_by_pair_reference(self):
+        # under pins that need not extend an isomorphism: None exactly when
+        # the reference's fixpoint has an empty line, else that fixpoint
+        rng = np.random.default_rng(28)
+        outcomes = set()
+        for name, g in self.cases():
+            n = g.n
+            for trial in range(10):
+                pi = random_permutation(n, trial)
+                b = apply_permutation(g, pi)
+                mask = rng.random((n, n)) < rng.uniform(0.5, 1.0)
+                mask[np.arange(n), pi.map] = True
+                mask = self.pin(mask, *rng.integers(n, size=2))
+                got = solver._arc_consistency(mask, solver._pattern(g), solver._pattern(b))
+                want = arc_consistency_reference(mask, g, b)
+                if got is None:
+                    assert not _lines_full(want), (name, trial)
+                else:
+                    assert np.array_equal(got, want), (name, trial)
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    def test_srg_fixture_refutes_pins_undecomposed(self, monkeypatch, search_spy):
+        # under the level-0 pin (0, 0) of the rook's graph, every candidate
+        # of Shrikhande's is refuted: read lazily, the outer stream
+        # decomposes no B between the event before a refuted pin and the
+        # refuted pin's own event
+        a, b = srg_fixture()
+        off = ~np.eye(b.n, dtype=bool)
+        outer = []  # the B-side graphs the outer search decomposes
+        decompose = solver.eigendecompose
+
+        def counted(g):
+            if search_spy.active == 0 and np.array_equal(g.adj[off], b.adj[off]):
+                outer.append(g)
+            return decompose(g)
+
+        monkeypatch.setattr(solver, "eigendecompose", counted)
+        refuted = before = 0
+        for e in search_spy.search(a, b, SolverOptions()):
+            if isinstance(e, solver.SearchEvent) and e.level == 1:
+                assert (e.cost, e.mask, e.accepted, e.pruned) == (np.inf, None, False, False)
+                assert len(outer) == before
+                refuted += 1
+            before = len(outer)
+        assert e.outcome == NOT_ISOMORPHIC and refuted > 0
 
 
 class TestIsIsomorphicRejects:
@@ -1187,7 +1306,8 @@ class TestSearchEvents:
     def test_decompositions_add_up_from_the_events(self, search_spy):
         # each stream decomposes both inputs at its root, B once per pin it
         # evaluates, and A once per new frame, whose first event is the
-        # first one at a level above its predecessor's (the root's is -1)
+        # first one at a level above its predecessor's (the root's is -1);
+        # a pruned or refuted pin has an infinite cost and no decomposition
         g = cfi(K33_EDGES)
         twist = apply_permutation(cfi(K33_EDGES, twist=True), random_permutation(g.n, 1))
         inner = 0
@@ -1197,7 +1317,7 @@ class TestSearchEvents:
             total = 0
             for *_, items in search_spy.calls:
                 levels = [-1 if e.level is None else e.level for e in items[:-1]]
-                total += 2 + sum(e.level is not None and not e.pruned for e in items[:-1])
+                total += 2 + sum(e.level is not None and e.cost < np.inf for e in items[:-1])
                 total += sum(hi > lo for lo, hi in zip(levels, levels[1:]))
             assert total == report.decompositions, name
             inner += report.inner_searches
