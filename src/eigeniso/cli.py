@@ -2,7 +2,8 @@
 
 Exit codes of ``check`` follow a scriptable protocol: 0 isomorphic,
 1 not isomorphic, 2 inconclusive (backtrack cap hit), 3 for any error (bad
-files or arguments, eigensolver failure, out of memory).  Others use 0/3.
+files or arguments, eigensolver failure, out of memory, a search too deep
+for the interpreter).  Others use 0/3.
 """
 
 from __future__ import annotations
@@ -142,7 +143,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         f"decompositions={report.decompositions} "
         f"lap_solves={report.lap_solves} "
         f"pruned={report.pruned} "
-        f"inner_searches={report.inner_searches}"
+        f"inner_searches={report.inner_searches} "
+        f"consistency_rejects={report.consistency_rejects}"
     )
     return code
 
@@ -292,6 +294,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (GraphFormatError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        # search() nests one call per pinned vertex (see its docstring)
+        limit = sys.getrecursionlimit()
+        print(f"error: search too deep: its pins ran past Python's recursion limit ({limit})", file=sys.stderr)
         return EXIT_ERROR
 
 

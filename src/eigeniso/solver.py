@@ -18,9 +18,9 @@ column left empty refutes the pin.  An accepted pin's child mask, the
 parent mask of the next level, is its sub-eps mask cut to that fixpoint,
 and a line empty there refutes the pin too.  Each fixpoint keeps its pinned
 rows and columns to their pins alone, so no level offers a B-vertex pinned
-above it, at any eps.  Each level is a frame on a stack; an accepted pin
-pushes the next frame, and a level out of candidates pops its frame and the
-pin above it (backtracking).  Each accepted cost matrix comes with the
+above it, at any eps.  Each level is one call; an accepted pin calls
+the level below, and a level out of candidates returns, refuting the pin
+that called it (backtracking).  Each accepted cost matrix comes with the
 mask's matching as its assignment, and the search ends at the first one, at
 the root or at a pin, that maps the inputs onto each other entry for entry,
 diagonal included (:func:`is_exact_isomorphism`).  A child mask in which no
@@ -92,7 +92,7 @@ class SolverOptions:
 
     eps: tolerance below which eigenvalues coincide and costs count as zero;
         positive and finite.
-    max_backtrack_steps: refuted pins allowed before giving up (outcome
+    max_backtrack_steps: backtracks allowed before giving up (outcome
         inconclusive, never a wrong answer); nonnegative.
 
     :func:`search` checks both when it is entered, before it compares the
@@ -126,18 +126,20 @@ class SolveReport:
     root as in every round, is the row-order sum of the mask's matching,
     an upper bound of the optimum and below n * eps.  An isomorphic search
     ends at the first verified assignment, so rounds may stop short of n.
-    rounds are the accepted :class:`SearchEvent` of each level still on the
-    search's stack, in level order, the very objects :func:`search` yields;
+    rounds are the accepted :class:`SearchEvent` of each level on the
+    search's path, in level order, the very objects :func:`search` yields;
     a round's i is the A-vertex its level pinned, and its mask the sub-eps
     mask of its pin, with ``int(r.mask.sum())`` entries.  A NOT_ISOMORPHIC
     search ends with no level left, so with no rounds; an INCONCLUSIVE one
     keeps the pins not yet refuted when it crossed the cap.
     pruned counts the candidates skipped by an automorphism of B (see
-    :class:`SearchEvent`), inner_searches the capped searches run to find
-    those automorphisms, nested ones included.  decompositions and
-    lap_solves, the cost matrices decided, include the inner searches'.
-    :func:`search` counts into the report as it runs, backtrack_steps being
-    its refuted pins; the size-mismatch report counts nothing.
+    :class:`SearchEvent`), consistency_rejects the pins refuted by
+    :func:`_arc_consistency`, inner_searches the capped searches run to
+    find those automorphisms, nested ones included.  decompositions,
+    lap_solves (the cost matrices decided) and consistency_rejects include
+    the inner searches'.  backtrack_steps counts the accepted pins that
+    proved dead ends.  :func:`search` counts into the report as it runs;
+    the size-mismatch report counts nothing.
     """
 
     outcome: str
@@ -150,6 +152,7 @@ class SolveReport:
     reason: str | None = None
     pruned: int = 0
     inner_searches: int = 0
+    consistency_rejects: int = 0
 
     @property
     def spectral_rejection(self) -> bool:  # certified before any cost matrix
@@ -458,28 +461,8 @@ def _orbit(seeds: list[int], generators: list[np.ndarray], n: int) -> np.ndarray
         inside = grown
 
 
-@dataclass
-class _Frame:
-    """One level of the search.
-
-    i is the A-vertex this level pins with loop weight w, a is A pinned
-    through this level, da its decomposition, b is B before this level's
-    pin, mask the parent mask whose row i lists the candidates, the
-    B-vertices tried in order; k is the next one's index, accepted the
-    tried ones whose pin passed, and pin the event this level accepted
-    last, while its subtree is being searched.
-    """
-
-    i: int
-    w: float
-    a: Graph
-    da: SpectralDecomposition
-    b: Graph
-    mask: np.ndarray
-    candidates: list[int]
-    k: int = 0
-    accepted: list[int] = field(default_factory=list)
-    pin: SearchEvent | None = None
+class _BacktrackCap(Exception):
+    """A backtrack crossed the cap; :func:`search` ends the search where it catches this."""
 
 
 def search(
@@ -500,6 +483,12 @@ def search(
     without such a row forces (see the module docstring).  The searches for
     automorphisms that prune candidates are searches of this kind; their
     work is counted in the report, not streamed.
+
+    Each level is a nested call, so the stack holds one frame per pin on the
+    path plus about five, an inner search's on top of its caller's.  A path
+    of about 990 pins raises :class:`RecursionError` at Python's default
+    limit of 1000.  k disjoint edges need k - 1 pins, so n near 2,000, where
+    n = 160 takes 2.1-2.4 s (2-core Xeon) and time grows about as n**4.
     """
     eps = opts.eps
     if not 0 < eps < np.inf:
@@ -514,43 +503,26 @@ def search(
     n = a.n
     rep = SolveReport(INCONCLUSIVE, None)  # counted into as the search runs
     automorphisms: list[np.ndarray] = []  # of b, each verified
-    stack: list[_Frame] = []
 
     def end(outcome: str, perm=None, reason=None) -> SolveReport:
         rep.outcome, rep.permutation, rep.reason = outcome, perm, reason
-        rep.rounds = [f.pin for f in stack if f.pin is not None]
         return rep
 
-    def frame(a_prev: Graph, b_prev: Graph, mask: np.ndarray) -> _Frame | None:
-        """Next level: the free A-vertex offered the fewest B-vertices, at least two; else None."""
+    def fewest(mask: np.ndarray) -> int | None:
+        """The free A-vertex offered the fewest B-vertices, at least two; else None."""
         sizes = mask.sum(axis=1)
         sizes[sizes < 2] = n + 1
-        if sizes.min() > n:
-            return None
-        i = int(sizes.argmin())
-        w = base + len(stack) + 1.0
-        a_pinned = perturb(a_prev, i, w)
-        candidates = np.flatnonzero(mask[i]).tolist()
-        rep.decompositions += 1
-        return _Frame(i, w, a_pinned, eigendecompose(a_pinned), b_prev, mask, candidates)
+        return int(sizes.argmin()) if sizes.min() <= n else None
 
-    def in_orbit(top: _Frame, j: int) -> bool:
-        """Whether a kept automorphism of b fixing the pins above top maps a
-        candidate top has ruled out onto j."""
-        pins = [f.pin.j for f in stack[:-1]]
-        fixing = [s for s in automorphisms if (s[pins] == pins).all()]
-        return bool(_orbit(top.candidates[: top.k - 1], fixing, n)[j])
-
-    def finds_automorphism(top: _Frame, j: int) -> bool:
-        """Whether a capped search from a candidate top accepted finds an
-        automorphism of b fixing the pins above top that maps it onto j;
-        one found is kept."""
-        pins = [f.pin.j for f in stack[:-1]]
-        for j0 in top.accepted:
-            x, y = perturb(top.b, j0, top.w), perturb(top.b, j, top.w)
+    def finds_automorphism(b_prev: Graph, w: float, accepted: list[int], j: int, pins: list[int]) -> bool:
+        """Whether a capped search from a candidate its level accepted finds an
+        automorphism of b fixing the pins that maps it onto j; one found is kept."""
+        for j0 in accepted:
+            x, y = perturb(b_prev, j0, w), perturb(b_prev, j, w)
             inner = deque(search(x, y, SolverOptions(eps, _AUTOMORPHISM_BACKTRACKS)), maxlen=1)[0]
             rep.decompositions += inner.decompositions
             rep.lap_solves += inner.lap_solves
+            rep.consistency_rejects += inner.consistency_rejects
             rep.inner_searches += 1 + inner.inner_searches
             if inner.outcome != ISOMORPHIC:
                 continue
@@ -560,6 +532,69 @@ def search(
                 automorphisms.append(sigma)
                 return True
         return False
+
+    def level(a_prev: Graph, b_prev: Graph, mask: np.ndarray, i: int) -> Iterator[SearchEvent]:
+        """Pin A-vertex i against each B-vertex of its row of mask in turn,
+        searching the level below each accepted pin; returns the first
+        verified witness, or None once every candidate is ruled out."""
+        pins = [r.j for r in rep.rounds]  # the path above this level
+        depth, w = len(pins), base + len(pins) + 1.0
+        a_pinned = perturb(a_prev, i, w)
+        da = eigendecompose(a_pinned)
+        rep.decompositions += 1
+        candidates = np.flatnonzero(mask[i]).tolist()
+        accepted: list[int] = []
+        for k, j in enumerate(candidates):
+            # The cheapest test first: a kept automorphism fixing the pins maps
+            # a candidate ruled out here onto j; then the consistency filter, so
+            # a refuted pin costs no decomposition and no automorphism search.
+            fixing = [s for s in automorphisms if (s[pins] == pins).all()]
+            if _orbit(candidates[:k], fixing, n)[j]:
+                rep.pruned += 1
+                yield SearchEvent(depth, i, j, float("inf"), None, False, pruned=True)
+                continue
+            pinned = mask.copy()
+            pinned[i], pinned[:, j] = False, False
+            pinned[i, j] = True
+            consistent = _arc_consistency(pinned, pa, pb)
+            if consistent is None:
+                rep.consistency_rejects += 1
+                yield SearchEvent(depth, i, j, float("inf"), None, False)
+                continue
+            if finds_automorphism(b_prev, w, accepted, j, pins):
+                rep.pruned += 1
+                yield SearchEvent(depth, i, j, float("inf"), None, False, pruned=True)
+                continue
+            b_pinned = perturb(b_prev, j, w)
+            e, perm, sub = _evaluate(da, eigendecompose(b_pinned), eps)
+            rep.decompositions += 1
+            rep.lap_solves += sub is not None
+            event = SearchEvent(depth, i, j, e, sub, perm is not None)
+            yield event
+            if perm is None:
+                continue
+            accepted.append(j)
+            rep.rounds.append(event)
+            if is_exact_isomorphism(a, b, perm):
+                return perm
+            # The level below reads the sub-eps mask cut to the fixpoint; a
+            # line left empty refutes the pin.
+            consistent &= sub
+            if _lines_full(consistent):
+                if (below := fewest(consistent)) is not None:
+                    if (perm := (yield from level(a_pinned, b_pinned, consistent, below))) is not None:
+                        return perm
+                else:
+                    # Each line holds one entry, so the mask is the one map
+                    # it forces; if that fails, the pin is a dead end.
+                    perm = Permutation(consistent.argmax(axis=1))
+                    if is_exact_isomorphism(a, b, perm):
+                        return perm
+            rep.rounds.pop()  # a backtrack: the pin is refuted, so no round even at the cap
+            rep.backtrack_steps += 1
+            if rep.backtrack_steps > opts.max_backtrack_steps:
+                raise _BacktrackCap
+        return None
 
     rep.root_cost, perm, mask = _evaluate(eigendecompose(a), eigendecompose(b), eps)
     rep.decompositions += 2
@@ -576,70 +611,14 @@ def search(
     # is needed, as are the edge patterns the consistency filter reads.
     base = max(np.abs(np.diag(a.adj)).max(), np.abs(np.diag(b.adj)).max())
     pa, pb = _pattern(a), _pattern(b)
-    if (top := frame(a, b, mask)) is not None:  # else the mask is the failed matching
-        stack.append(top)
-    while stack:
-        top = stack[-1]
-        level = len(stack) - 1
-        if top.k == len(top.candidates):
-            # The level ran dry: drop its frame and the round above it.
-            stack.pop()
-            if not stack:
-                break
-        else:
-            j = top.candidates[top.k]
-            top.k += 1
-            # The cheapest test first: kept automorphisms, then the
-            # consistency filter on the parent mask, so that a refuted pin
-            # costs no decomposition and starts no search for a new one.
-            if in_orbit(top, j):
-                rep.pruned += 1
-                yield SearchEvent(level, top.i, j, float("inf"), None, False, pruned=True)
-                continue
-            pinned = top.mask.copy()
-            pinned[top.i] = False
-            pinned[:, j] = False
-            pinned[top.i, j] = True
-            consistent = _arc_consistency(pinned, pa, pb)
-            if consistent is None:
-                yield SearchEvent(level, top.i, j, float("inf"), None, False)
-                continue
-            if finds_automorphism(top, j):
-                rep.pruned += 1
-                yield SearchEvent(level, top.i, j, float("inf"), None, False, pruned=True)
-                continue
-            b_pinned = perturb(top.b, j, top.w)
-            e, perm, mask = _evaluate(top.da, eigendecompose(b_pinned), eps)
-            rep.decompositions += 1
-            rep.lap_solves += mask is not None
-            event = SearchEvent(level, top.i, j, e, mask, perm is not None)
-            yield event
-            if perm is None:
-                continue
-            top.accepted.append(j)
-            top.pin = event
-            if is_exact_isomorphism(a, b, perm):
-                yield end(ISOMORPHIC, perm)
-                return
-            # The next level reads the sub-eps mask cut to the fixpoint; a
-            # line left empty refutes the pin.
-            consistent &= mask
-            if _lines_full(consistent):
-                if (child := frame(top.a, b_pinned, consistent)) is not None:
-                    stack.append(child)
-                    continue
-                # Each line holds one entry, so the mask is the one map it
-                # forces; if that fails, the pin is a dead end.
-                perm = Permutation(consistent.argmax(axis=1))
-                if is_exact_isomorphism(a, b, perm):
-                    yield end(ISOMORPHIC, perm)
-                    return
-        stack[-1].pin = None  # refuted, so no round even at the cap
-        rep.backtrack_steps += 1
-        if rep.backtrack_steps > opts.max_backtrack_steps:
-            yield end(INCONCLUSIVE, reason="backtrack_cap")
-            return
-    yield end(NOT_ISOMORPHIC, reason="exhaustion")
+    try:
+        # With no row to pin, the mask is the matching that just failed.
+        i = fewest(mask)
+        perm = None if i is None else (yield from level(a, b, mask, i))
+    except _BacktrackCap:
+        yield end(INCONCLUSIVE, reason="backtrack_cap")
+        return
+    yield end(NOT_ISOMORPHIC, reason="exhaustion") if perm is None else end(ISOMORPHIC, perm)
 
 
 def is_isomorphic(a: Graph, b: Graph, opts: SolverOptions | None = None) -> SolveReport:

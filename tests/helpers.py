@@ -41,6 +41,33 @@ class SearchSpy:
         yield from items
 
 
+def disjoint_edges(k: int) -> Graph:
+    """k·K2: k disjoint edges (a perfect matching) on 2k vertices.
+
+    The search pins k - 1 vertices before one map is forced, so its path,
+    and its depth of nested calls, grows with k.
+    """
+    adj = np.zeros((2 * k, 2 * k))
+    adj[2 * np.arange(k), 2 * np.arange(k) + 1] = 1.0
+    return Graph(adj + adj.T)
+
+
+def chang_4k2() -> Graph:
+    """The Chang graph switched from T(8) on a perfect matching of K8.
+
+    T(8)'s vertices are the 28 edges of K8; Seidel switching on the four
+    edges {0,1}, {2,3}, {4,5}, {6,7} toggles every adjacency between them
+    and the rest.  SRG(28, 12, 6, 4), the parameters of T(8), and not
+    isomorphic to it.
+    """
+    edges = list(itertools.combinations(range(8), 2))
+    switched = np.isin(np.arange(28), [edges.index(e) for e in ((0, 1), (2, 3), (4, 5), (6, 7))])
+    adj = np.array([[float(len(set(e) & set(f)) == 1) for f in edges] for e in edges])
+    cut = np.outer(switched, ~switched) | np.outer(~switched, switched)
+    adj[cut] = 1.0 - adj[cut]
+    return Graph(adj)
+
+
 def all_graphs(n: int) -> list[Graph]:
     """Every labeled simple graph on n vertices (2^(n choose 2) of them)."""
     vertex_pairs = list(itertools.combinations(range(n), 2))

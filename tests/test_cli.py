@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from eigeniso import (
 from eigeniso import cli
 from eigeniso.cli import main
 from eigeniso.generators import cfi, complete, cycle, path
-from helpers import K33_EDGES, degrees
+from helpers import K33_EDGES, degrees, disjoint_edges
 
 
 def _write(tmp_path, name, g):
@@ -147,6 +148,7 @@ class TestCheck:
                 "lap_solves": str(report.lap_solves),
                 "pruned": str(report.pruned),
                 "inner_searches": str(report.inner_searches),
+                "consistency_rejects": str(report.consistency_rejects),
             }
         assert int(stats["decompositions"]) == 2  # the spectral certificate
 
@@ -172,6 +174,26 @@ class TestCheck:
         fa, _ = _rotated_cycle_pair(tmp_path)
         assert main(["check", str(big), fa]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_search_too_deep_for_the_interpreter_is_error(self, tmp_path, capsys):
+        # each pinned level is one nested call: 60 disjoint edges pin 59
+        # vertices, more than a lowered recursion limit leaves room for; an
+        # error (3), never the "not isomorphic" code that an escaping
+        # exception would give
+        g = disjoint_edges(60)
+        fa = _write(tmp_path, "a.col", g)
+        fb = _write(tmp_path, "b.col", apply_permutation(g, random_permutation(g.n, 1)))
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            code = main(["check", fa, fb])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 3
+        assert "search too deep" in capsys.readouterr().err
 
     def test_missing_argument_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

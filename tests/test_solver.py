@@ -44,7 +44,9 @@ from helpers import (
     K33_EDGES,
     SearchSpy,
     arc_consistency_reference,
+    chang_4k2,
     dense_norm_bound,
+    disjoint_edges,
     eigen_groups,
     lap_brute_force,
     sorted_row_distance,
@@ -831,6 +833,16 @@ class TestIsIsomorphicAccepts:
         assert report.outcome == ISOMORPHIC
         assert is_exact_isomorphism(g, g, report.permutation)
 
+    def test_deep_path_of_disjoint_edges(self):
+        # each level is one nested call; 40 disjoint edges pin 39 vertices,
+        # one a level, before the mask forces the map
+        g = disjoint_edges(40)
+        b = apply_permutation(g, random_permutation(g.n, 1))
+        report = is_isomorphic(g, b)
+        assert report.outcome == ISOMORPHIC
+        assert [r.level for r in report.rounds] == list(range(39))
+        assert is_exact_isomorphism(g, b, report.permutation)
+
     def test_single_vertex_and_empty_graphs(self):
         one = Graph(np.zeros((1, 1)))
         assert is_isomorphic(one, one).outcome == ISOMORPHIC
@@ -899,6 +911,17 @@ class TestIsIsomorphicAccepts:
             report = is_isomorphic(g, b)
             assert report.outcome == ISOMORPHIC
             assert is_exact_isomorphism(g, b, report.permutation)
+
+
+def _backtracking_rejections():
+    """Non-isomorphic pairs whose searches backtrack and refute pins."""
+    g = cfi(K33_EDGES)
+    twist = apply_permutation(cfi(K33_EDGES, twist=True), random_permutation(g.n, 1))
+    return [
+        ("srg", *srg_fixture()),
+        ("cfi(K3,3) twist", g, twist),
+        ("T(8) vs chang_4K2", triangular(8), chang_4k2()),
+    ]
 
 
 class TestForcedMap:
@@ -1089,6 +1112,21 @@ class TestArcConsistency:
             before = len(outer)
         assert e.outcome == NOT_ISOMORPHIC and refuted > 0
 
+    def test_report_counts_the_refuted_pins(self, search_spy):
+        # consistency_rejects counts the refuted events (cost inf, mask None,
+        # not pruned) of every stream, an inner search's included
+        inner = 0
+        for name, a, b in _backtracking_rejections():
+            search_spy.calls.clear()
+            report = is_isomorphic(a, b)
+            refuted = [
+                (depth, sum(e.cost == np.inf and e.mask is None and not e.pruned for e in items[:-1]))
+                for depth, *_, items in search_spy.calls
+            ]
+            assert report.consistency_rejects == sum(k for _, k in refuted) > 0, name
+            inner += sum(k for depth, k in refuted if depth > 0)
+        assert inner > 0
+
 
 class TestIsIsomorphicRejects:
     def test_vertex_count_mismatch(self):
@@ -1230,6 +1268,25 @@ class TestInconclusive:
         assert report.backtrack_steps == 1
         assert [(e.i, e.j) for e in events if e.accepted and e.level == 0] == [(0, 0)]
         assert report.rounds == []
+
+    def test_capped_streams_are_prefixes_of_the_uncapped_one(self):
+        # the cap stops the search where it stands: each capped stream is the
+        # uncapped one cut at the backtrack that crossed the cap, and its
+        # rounds are the path there, accepted events of that prefix
+        def fields(e):
+            mask = None if e.mask is None else e.mask.tobytes()
+            return (e.level, e.i, e.j, float(e.cost).hex(), mask, e.accepted, e.pruned)
+
+        for name, a, b in _backtracking_rejections():
+            *full, uncapped = solver.search(a, b, SolverOptions())
+            assert uncapped.outcome == NOT_ISOMORPHIC and uncapped.backtrack_steps > 0, name
+            for cap in range(uncapped.backtrack_steps):
+                *events, report = solver.search(a, b, SolverOptions(max_backtrack_steps=cap))
+                assert (report.outcome, report.backtrack_steps) == (INCONCLUSIVE, cap + 1), (name, cap)
+                assert len(events) < len(full), (name, cap)
+                assert [fields(e) for e in events] == [fields(e) for e in full[: len(events)]], (name, cap)
+                assert [r.level for r in report.rounds] == list(range(len(report.rounds))), (name, cap)
+                assert all(any(r is e for e in events if e.accepted) for r in report.rounds), (name, cap)
 
     def test_cap_zero_still_solves_easy_pairs(self):
         g = cycle(6)
