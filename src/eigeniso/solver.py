@@ -15,18 +15,17 @@ matching in the sub-eps mask.  Before a candidate j costs a
 decomposition, the parent mask with row i and column j cleared and (i, j)
 set is refined to arc consistency (:func:`_arc_consistency`); a row or
 column left empty refutes the pin.  An accepted pin's child mask, the
-parent mask of the next level, is its sub-eps mask cut to that fixpoint,
-and a line empty there refutes the pin too.  Each fixpoint keeps its pinned
-rows and columns to their pins alone, so no level offers a B-vertex pinned
-above it, at any eps.  Each level is one call; an accepted pin calls
-the level below, and a level out of candidates returns, refuting the pin
-that called it (backtracking).  Each accepted cost matrix comes with the
-mask's matching as its assignment, and the search ends at the first one, at
-the root or at a pin, that maps the inputs onto each other entry for entry,
-diagonal included (:func:`is_exact_isomorphism`).  A child mask in which no
-row offers two B-vertices is the one map it forces, pinned rows to their
-pins and free rows to their one entry; that map alone is checked, and a pin
-whose map fails is a dead end.  :func:`search` yields one event per
+parent mask of the next level, is its sub-eps mask cut to that fixpoint.
+Each fixpoint keeps its pinned rows and columns to their pins alone, so no
+level offers a B-vertex pinned above it, at any eps.  A pin's witness is a
+perfect matching of its child mask, and a child mask without one refutes
+the pin; the root's witness is its sub-eps mask's matching.  The search
+ends at the first witness that maps the inputs onto each other entry for
+entry, diagonal included (:func:`is_exact_isomorphism`).  Each level is one
+call; a pin whose witness fails calls the level below, unless no row of its
+child mask offers two B-vertices, for then the mask is that witness alone
+and the pin a dead end.  A level out of candidates returns, refuting the
+pin that called it (backtracking).  :func:`search` yields one event per
 candidate and the report last; :func:`is_isomorphic` reads the report,
 ``check --masks-out`` the events' masks.
 
@@ -43,7 +42,8 @@ pairs: a neighbour x' of x has the partner pi(x') among the neighbours of
 pi(x), and the other way round, since pi maps nonzero weights, the edges
 the filter reads, onto nonzero weights.  A pass drops only unsupported
 pairs, so the fixpoint keeps pi whole, and so does the child mask, the
-fixpoint cut to the sub-eps mask.  So a forced map is pi, else level L's
+fixpoint cut to the sub-eps mask.  So a parent mask in which no row
+offers two B-vertices is pi, the witness checked above it, else level L's
 candidates, the row of its vertex i, contain pi(i), and the pin (i, pi(i))
 passes all three tests: the filter adds no premise to the one below.
 Level L also skips a candidate j when an automorphism sigma of B that fixes
@@ -123,9 +123,11 @@ class SolveReport:
     :func:`build_cost_matrix`), an empty row or column of the sub-eps mask
     gives a row- or column-minimum sum, and a mask without a perfect
     matching its least entry outside the mask.  An accepted cost, at the
-    root as in every round, is the row-order sum of the mask's matching,
-    an upper bound of the optimum and below n * eps.  An isomorphic search
-    ends at the first verified assignment, so rounds may stop short of n.
+    root as in every round, is the row-order sum of the sub-eps mask's
+    matching, an upper bound of the optimum and below n * eps.  The root's
+    witness is that matching, a pin's a perfect matching of its mask cut to
+    the consistency fixpoint (see the module docstring).  An isomorphic
+    search ends at the first verified witness, so rounds may stop short of n.
     rounds are the accepted :class:`SearchEvent` of each level on the
     search's path, in level order, the very objects :func:`search` yields;
     a round's i is the A-vertex its level pinned, and its mask the sub-eps
@@ -388,11 +390,6 @@ def _pattern(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return edges, edges.sum(axis=1)
 
 
-def _lines_full(mask: np.ndarray) -> bool:
-    """Whether every row and every column of ``mask`` holds an entry."""
-    return bool(mask.any(axis=1).all() and mask.any(axis=0).all())
-
-
 def _arc_consistency(
     mask: np.ndarray, pa: tuple[np.ndarray, np.ndarray], pb: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray | None:
@@ -412,7 +409,7 @@ def _arc_consistency(
         ok = np.matmul(a, m @ b > 0, dtype=np.float32) == deg_a[:, None]
         ok &= np.matmul(a @ m > 0, b, dtype=np.float32) == deg_b
         mask = mask & ok
-        if not _lines_full(mask):
+        if not (mask.any(axis=1).all() and mask.any(axis=0).all()):
             return None
         if (kept := np.count_nonzero(mask)) == count:
             return mask
@@ -427,11 +424,12 @@ class SearchEvent(NamedTuple):
     built); accepted means the pair passed: the mask holds a perfect
     matching.  An accepted cost is that matching's row-order sum, an upper
     bound of the optimum, and its mask the pin's sub-eps mask, before the
-    search cuts it to the consistency fixpoint.  Two forms have cost inf,
-    mask None and accepted False, and neither was decomposed: pruned marks
-    a candidate skipped since an automorphism of B that fixes the pins maps
-    a candidate already ruled out onto it, and a candidate with pruned
-    False was refuted by :func:`_arc_consistency` on the parent mask.
+    search cuts it to the consistency fixpoint; the cut's perfect matching
+    is the pin's witness.  Two forms have cost inf, mask None and accepted
+    False, and neither was decomposed: pruned marks a candidate skipped
+    since an automorphism of B that fixes the pins maps a candidate already
+    ruled out onto it, and a candidate with pruned False was refuted by
+    :func:`_arc_consistency` on the parent mask.
     """
 
     level: int | None
@@ -479,8 +477,9 @@ def search(
     :func:`is_exact_isomorphism` on the full matrices, so it maps them too,
     and every pin weighs more than any of them.  Each level pins the free
     A-vertex whose row of its parent's mask offers the fewest B-vertices,
-    at least two, and tries those, or checks the one map that a mask
-    without such a row forces (see the module docstring).  The searches for
+    at least two, and tries those; a pin checks one witness, a perfect
+    matching of the mask it hands down, and a mask without such a row is
+    that witness alone (see the module docstring).  The searches for
     automorphisms that prune candidates are searches of this kind; their
     work is counted in the report, not streamed.
 
@@ -575,20 +574,15 @@ def search(
                 continue
             accepted.append(j)
             rep.rounds.append(event)
-            if is_exact_isomorphism(a, b, perm):
-                return perm
-            # The level below reads the sub-eps mask cut to the fixpoint; a
-            # line left empty refutes the pin.
-            consistent &= sub
-            if _lines_full(consistent):
-                if (below := fewest(consistent)) is not None:
-                    if (perm := (yield from level(a_pinned, b_pinned, consistent, below))) is not None:
-                        return perm
-                else:
-                    # Each line holds one entry, so the mask is the one map
-                    # it forces; if that fails, the pin is a dead end.
-                    perm = Permutation(consistent.argmax(axis=1))
-                    if is_exact_isomorphism(a, b, perm):
+            # The level below reads the sub-eps mask cut to the fixpoint; its
+            # matching is the pin's witness, and none refutes the pin.
+            cut = consistent & sub
+            if (match := perfect_matching(cut)) is not None:
+                if is_exact_isomorphism(a, b, perm := Permutation(match)):
+                    return perm
+                # With no row to pin, the cut is the matching that just failed.
+                if (below := fewest(cut)) is not None:
+                    if (perm := (yield from level(a_pinned, b_pinned, cut, below))) is not None:
                         return perm
             rep.rounds.pop()  # a backtrack: the pin is refuted, so no round even at the cap
             rep.backtrack_steps += 1

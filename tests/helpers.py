@@ -44,8 +44,8 @@ class SearchSpy:
 def disjoint_edges(k: int) -> Graph:
     """k·K2: k disjoint edges (a perfect matching) on 2k vertices.
 
-    The search pins k - 1 vertices before one map is forced, so its path,
-    and its depth of nested calls, grows with k.
+    The search pins k - 1 vertices before its mask is one matching, so its
+    path, and its depth of nested calls, grows with k.
     """
     adj = np.zeros((2 * k, 2 * k))
     adj[2 * np.arange(k), 2 * np.arange(k) + 1] = 1.0

@@ -494,18 +494,17 @@ class TestMaskFirstDecision:
                 _assert_costs_by_contract(got, _costs(want), self.EPS, name)
                 continue
             # The Hungarian's optimum can be another sub-eps assignment than
-            # the mask's matching and hold at another pin.  Both searches
-            # walk one tree, so one event stream is a prefix of the other.
+            # the mask's matching.  Only the root checks it; a pin's witness
+            # is the matching of its cut mask whichever assignment _decide
+            # returns, so both searches walk one path.
             assert is_exact_isomorphism(a, b, got.permutation), name
             assert is_exact_isomorphism(a, b, want.permutation), name
+            assert list(map(fields, got_events)) == list(map(fields, want_events)), name
             for g, w in zip(got_events, want_events):
-                assert fields(g) == fields(w), name
                 if w.accepted:
                     assert w.cost <= g.cost, name
                 else:
                     assert self.EPS <= g.cost <= w.cost, name
-            exits_differ += len(got_events) != len(want_events)
-        assert exits_differ > 0
         assert any(want.root_cost >= self.EPS for _, want in reference)
 
 
@@ -541,19 +540,6 @@ def _fail_first(mask, rounds):
     return min(open_rows, key=lambda i: (sizes[i], i)) if open_rows else None
 
 
-def _forced_map(mask, rounds):
-    """The one map left when no free row offers two unpinned B-vertices: each
-    pinned row to its pin, each free row to its unpinned entry; None unless
-    that is a bijection."""
-    images = {i: j for i, j, *_ in rounds}
-    pinned_b = set(images.values())
-    for x in range(mask.shape[0]):
-        if x not in images:
-            images[x] = next((j for j in np.flatnonzero(mask[x]) if j not in pinned_b), -1)
-    values = [images[x] for x in range(mask.shape[0])]
-    return Permutation(values) if sorted(values) == list(range(len(values))) else None
-
-
 def _scan_all_search(a, b, eps=1e-6):
     """The search without mask-guided lists or pruning, with its own matching
     test, as a reference.
@@ -564,14 +550,14 @@ def _scan_all_search(a, b, eps=1e-6):
     one that leaves a line empty is refuted with no decomposition.  A pair
     passes when its sub-eps mask holds a perfect matching, as a Hungarian
     solve on the mask's complement finds, and every cost is the Hungarian
-    optimum of its cost matrix or a spectral distance.  Each accepted pair
-    verifies the assignment that solver._decide proposes, as the search
-    does, and the first that holds ends the search.  The next level's
-    parent mask is the sub-eps mask cut to the fixpoint; a line empty there
-    refutes the pin, and where no level follows, the :func:`_forced_map` is
-    checked too, and a pin whose map fails is a dead end.  Returns the
-    report's fields, its (cost, accepted) pairs (the root's, then the
-    rounds'), and its operation counts.
+    optimum of its cost matrix or a spectral distance.  The root verifies
+    the assignment that solver._decide proposes, and an accepted pin the
+    matching that solver.perfect_matching finds in the next level's parent
+    mask, the sub-eps mask cut to the fixpoint, as the search does; the
+    first that holds ends the search.  A cut without a perfect matching
+    refutes the pin, as does a failed witness with no row left to pin.
+    Returns the report's fields, its (cost, accepted) pairs (the root's,
+    then the rounds'), and its operation counts.
     """
     n = a.n
     counts = {"dec": 2, "lap": 0, "bt": 0}
@@ -622,19 +608,16 @@ def _scan_all_search(a, b, eps=1e-6):
             if not _has_matching(c < eps):
                 continue
             rounds.append((i, j, solve_lap(c).cost, int((c < eps).sum())))
-            perm = solver._decide(c, eps)[1]
-            if is_exact_isomorphism(a, b, perm):
-                return perm
-            consistent &= c < eps
-            child = _fail_first(consistent, rounds) if _lines_full(consistent) else None
-            if child is not None:
-                found = descend(level + 1, a_pinned, b_pinned, consistent, child)
-                if found is not None:
-                    return found
-            elif _lines_full(consistent):
-                forced = _forced_map(consistent, rounds)
-                if forced is not None and is_exact_isomorphism(a, b, forced):
-                    return forced
+            cut = consistent & (c < eps)
+            if _has_matching(cut):
+                witness = Permutation(solver.perfect_matching(cut))
+                if is_exact_isomorphism(a, b, witness):
+                    return witness
+                child = _fail_first(cut, rounds)
+                if child is not None:
+                    found = descend(level + 1, a_pinned, b_pinned, cut, child)
+                    if found is not None:
+                        return found
             counts["bt"] += 1
             rounds.pop()
         return None
@@ -741,7 +724,7 @@ class TestMaskGuidedSearch:
                     free[[i for i, _ in pins]] = False
                     offered += int(e.mask[free][:, [j for _, j in pins]].sum())
                     # and each pinned row offers its own pin alone, so a mask
-                    # that forces the map forces the matching it holds
+                    # with no row to pin is the matching it holds
                     assert all(np.flatnonzero(e.mask[i]).tolist() == [j] for i, j in pins), name
                     checked += 1
         assert checked > 0 and offered == 0
@@ -835,7 +818,7 @@ class TestIsIsomorphicAccepts:
 
     def test_deep_path_of_disjoint_edges(self):
         # each level is one nested call; 40 disjoint edges pin 39 vertices,
-        # one a level, before the mask forces the map
+        # one a level, before the mask is the matching it holds
         g = disjoint_edges(40)
         b = apply_permutation(g, random_permutation(g.n, 1))
         report = is_isomorphic(g, b)
@@ -924,13 +907,13 @@ def _backtracking_rejections():
     ]
 
 
-class TestForcedMap:
-    """A mask in which no free row offers two B-vertices forces the map.
+class TestPinWitness:
+    """A pin's witness is a perfect matching of the mask the level below reads.
 
     The first k checks of a relabelled cycle(6) answer False, inner searches'
-    included.  The root's check is the first, the pins (0, 0) and (1, 2) make
-    the next two, and after them every row of the mask offers one B-vertex,
-    so the fourth check is of the map that mask forces.
+    included.  The root's check is the first and the pins (0, 0) and (1, 2)
+    make the next two; below (1, 2) every row of the mask offers one
+    B-vertex, so that mask is the pin's witness alone and no level follows.
     """
 
     @staticmethod
@@ -950,38 +933,62 @@ class TestForcedMap:
         g = cycle(6)
         return g, apply_permutation(g, random_permutation(6, 4))
 
-    def test_forced_map_that_holds_ends_the_search(self, monkeypatch):
-        events, report, calls = self.run(monkeypatch, 3, *self.cycle_pair())
-        assert len(calls) == 4
-        forced = events[-1].mask.argmax(axis=1)
-        forced[[r.i for r in report.rounds]] = [r.j for r in report.rounds]
-        assert calls[3] == forced.tolist() == report.permutation.map.tolist()
+    def test_witness_that_holds_ends_the_search(self, monkeypatch):
+        events, report, calls = self.run(monkeypatch, 2, *self.cycle_pair())
+        assert len(calls) == 3
+        witness = np.array(calls[2])
+        # inside the pin's sub-eps mask, each pinned row to its pin
+        assert events[-1].mask[np.arange(6), witness].all()
+        assert witness[[r.i for r in report.rounds]].tolist() == [r.j for r in report.rounds]
+        assert calls[2] == report.permutation.map.tolist()
         assert report.outcome == ISOMORPHIC
         assert [(r.i, r.j) for r in report.rounds] == [(0, 0), (1, 2)]
         assert all(e.level != 2 for e in events)
 
-    def test_forced_map_that_fails_is_a_dead_end(self, monkeypatch):
+    def test_witness_that_fails_with_no_row_to_pin_is_a_dead_end(self, monkeypatch):
         g, b = self.cycle_pair()
-        events, report, calls = self.run(monkeypatch, 5, g, b)
-        # the fourth check, of the map forced below the pin (1, 2), fails: no
-        # level follows, one backtrack drops the pin and level 1 scans on
-        # (the fifth check is an inner search's, which finds no automorphism)
+        events, report, calls = self.run(monkeypatch, 4, g, b)
+        # the third check, of the witness of the pin (1, 2), fails: no level
+        # follows, one backtrack drops the pin and level 1 scans on (the
+        # fourth check is an inner search's, which finds no automorphism)
         assert [(e.level, e.i, e.j) for e in events if e.level is not None] == [
             (0, 0, 0),
             (1, 1, 2),
             (1, 1, 5),
         ]
+        assert len(calls) == 5
         assert report.backtrack_steps == 1
         assert report.outcome == ISOMORPHIC
         assert [(r.i, r.j) for r in report.rounds] == [(0, 0), (1, 5)]
         assert is_exact_isomorphism(g, b, report.permutation)
 
-    def test_cap_at_a_failed_forced_map_drops_its_pin(self, monkeypatch):
+    def test_cap_at_a_failed_witness_drops_its_pin(self, monkeypatch):
         g, b = self.cycle_pair()
-        events, report, calls = self.run(monkeypatch, 5, g, b, SolverOptions(max_backtrack_steps=0))
-        assert len(calls) == 4  # the forced map below (1, 2) was the last check
+        events, report, calls = self.run(monkeypatch, 4, g, b, SolverOptions(max_backtrack_steps=0))
+        assert len(calls) == 3  # the witness of (1, 2) was the last check
         assert (report.outcome, report.reason) == (INCONCLUSIVE, "backtrack_cap")
         assert [(r.i, r.j) for r in report.rounds] == [(0, 0)]
+
+    def test_each_accepted_pair_checks_one_witness(self, monkeypatch):
+        # every check fails, so the search walks its whole tree; the checks of
+        # g against b made after an item belong to it, and each accepted
+        # pair, the root and every accepted pin, makes exactly one, so no pin
+        # checks one permutation twice
+        g, b = self.cycle_pair()
+        items, checked_after = [], []
+
+        def failing(x, y, p):
+            if x is g and y is b:
+                checked_after.append(len(items))
+            return False
+
+        monkeypatch.setattr(solver, "is_exact_isomorphism", failing)
+        for item in solver.search(g, b, SolverOptions()):
+            items.append(item)
+        assert (items[-1].outcome, items[-1].reason) == (NOT_ISOMORPHIC, "exhaustion")
+        accepted = [k + 1 for k, e in enumerate(items[:-1]) if e.accepted]
+        assert len(accepted) > 2
+        assert checked_after == accepted
 
     def test_root_mask_with_one_failing_matching_is_exhausted(self, monkeypatch):
         # a simple spectrum leaves one B-vertex in every row of the root's mask
@@ -1304,7 +1311,8 @@ class TestOptions:
 
     def test_loose_eps_answers_agree_with_the_oracle(self):
         # at eps 1, far above rounding, masks offer pinned B-vertices and
-        # levels end on forced maps; no answer may be wrong, only inconclusive
+        # pins end on masks with no row to pin; no answer may be wrong, only
+        # inconclusive
         opts = SolverOptions(eps=1.0, max_backtrack_steps=10)
         outcomes = []
         for seed in range(120):
