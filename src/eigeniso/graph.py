@@ -53,12 +53,14 @@ class Permutation:
     __slots__ = ("map",)
 
     def __init__(self, mapping) -> None:
-        m = np.array(mapping, dtype=int)
+        m = np.asarray(mapping)
         if m.ndim != 1:
             raise ValueError("permutation must be a flat sequence")
         n = m.shape[0]
+        # compared before the cast, so an entry such as 0.9 is no vertex
         if n < 1 or not np.array_equal(np.sort(m), np.arange(n)):
             raise ValueError("not a bijection on 0..n-1")
+        m = m.astype(int)
         m.setflags(write=False)
         self.map = m
 

@@ -10,56 +10,55 @@ pins level by level.  Level L takes the free vertex i of A whose row of the
 parent mask (at level 0, the root's sub-eps mask) offers the fewest
 B-vertices, at least two, puts a self-loop of weight base + L + 1 on it,
 base being the largest loop weight of the inputs, and scans those
-B-vertices for a partner whose equally pinned graph keeps a perfect
-matching in the sub-eps mask.  Before a candidate j costs a
-decomposition, the parent mask with row i and column j cleared and (i, j)
-set is refined to arc consistency (:func:`_arc_consistency`); a row or
-column left empty refutes the pin.  An accepted pin's child mask, the
-parent mask of the next level, is its sub-eps mask cut to that fixpoint.
-Each fixpoint keeps its pinned rows and columns to their pins alone, so no
-level offers a B-vertex pinned above it, at any eps.  A pin's witness is a
-perfect matching of its child mask, and a child mask without one refutes
-the pin; the root's witness is its sub-eps mask's matching.  The search
-ends at the first witness that maps the inputs onto each other entry for
-entry, diagonal included (:func:`is_exact_isomorphism`).  Each level is one
-call; a pin whose witness fails calls the level below, unless no row of its
-child mask offers two B-vertices, for then the mask is that witness alone
-and the pin a dead end.  A level out of candidates returns, refuting the
-pin that called it (backtracking).  :func:`search` yields one event per
-candidate and the report last; :func:`is_isomorphic` reads the report,
+B-vertices for a partner j.  Before a candidate j costs a decomposition,
+the parent mask with row i and column j cleared and (i, j) set is refined
+to arc consistency (:func:`_arc_consistency`); a row or column left empty
+refutes the pin.  Else the pin is decided once, on its sub-eps mask within
+that fixpoint (the costs outside it set to inf): a perfect matching of that
+mask accepts the pin and is its witness, and the mask is the next level's
+parent mask.  Each fixpoint keeps its pinned rows and columns to their pins
+alone, so no level offers a B-vertex pinned above it, at any eps.  The
+root's witness is its sub-eps mask's matching.  The search ends at the
+first witness that maps the inputs onto each other entry for entry,
+diagonal included (:func:`is_exact_isomorphism`).  Each level is one call;
+a pin whose witness fails calls the level below, unless no row of its mask
+offers two B-vertices, for then the mask is that witness alone and the pin
+a dead end.  A level out of candidates returns, refuting the pin that
+called it (backtracking).  :func:`search` yields one event per candidate
+and the report last; :func:`is_isomorphic` reads the report,
 ``check --masks-out`` the events' masks.
 
 What exhaustion proves.  Every rejection in the search is a necessary
 condition failing: the pinned spectra differ by more than eps, the sub-eps
-mask has no perfect matching, or a consistency fixpoint leaves a line
-empty.  Let pi be an isomorphism extending the pins so far.  The pinned
-graphs are isomorphic through pi, so every c[x][pi(x)] is zero up to
-rounding and pi lies in the sub-eps mask of each of its pins.  It lies in
-each parent mask too, by induction over the levels: if pi lies in level
-L's parent mask, it lies in that mask with row i and column pi(i) cleared
-and (i, pi(i)) set.  There each pair (x, pi(x)) is supported by pi's own
-pairs: a neighbour x' of x has the partner pi(x') among the neighbours of
-pi(x), and the other way round, since pi maps nonzero weights, the edges
-the filter reads, onto nonzero weights.  A pass drops only unsupported
-pairs, so the fixpoint keeps pi whole, and so does the child mask, the
-fixpoint cut to the sub-eps mask.  So a parent mask in which no row
-offers two B-vertices is pi, the witness checked above it, else level L's
-candidates, the row of its vertex i, contain pi(i), and the pin (i, pi(i))
-passes all three tests: the filter adds no premise to the one below.
-Level L also skips a candidate j when an automorphism sigma of B that fixes
-every pinned B-vertex maps a candidate j0 it has ruled out (refuted,
-rejected or exhausted) onto j: were pi(i) = j, then sigma^-1 pi would
-extend the pins with (i, j0), which j0's failure ruled out.  Each sigma
-comes from a search of this kind, capped at a few backtracks, between B
-pinned at j0 and B pinned at j with level L's weight, and is kept only once
-it maps the one onto the other entry for entry, diagonal included, fixes
-the pins and sends j0 to j; the group of the kept ones that fix the pins
-gives the orbits.  The orbit step thus adds no numerical premise.  By
+mask (at a pin, within its fixpoint) has no perfect matching, or a
+consistency fixpoint leaves a line empty.  Let pi be an isomorphism
+extending the pins so far.  The pinned graphs are isomorphic through pi, so
+every c[x][pi(x)] is zero up to rounding and pi lies in the sub-eps mask of
+each of its pins.  It lies in each parent mask too, by induction over the
+levels: if pi lies in level L's parent mask, it lies in that mask with row
+i and column pi(i) cleared and (i, pi(i)) set.  There each pair (x, pi(x))
+is supported by pi's own pairs: a neighbour x' of x has the partner pi(x')
+among the neighbours of pi(x), and the other way round, since pi maps
+nonzero weights, the edges the filter reads, onto nonzero weights.  A pass
+drops only unsupported pairs, so the fixpoint keeps pi whole, and so does
+the pin's mask, its sub-eps entries within the fixpoint.  So a parent mask
+in which no row offers two B-vertices is pi, the witness checked above it,
+else level L's candidates, the row of its vertex i, contain pi(i), and the
+pin (i, pi(i)) passes all three tests: the filter adds no premise to the
+one below.  Level L also skips a candidate j when an automorphism sigma of
+B that fixes every pinned B-vertex maps a candidate j0 it has ruled out
+(refuted, rejected or exhausted) onto j: were pi(i) = j, then sigma^-1 pi
+would extend the pins with (i, j0), which j0's failure ruled out.  Each
+sigma comes from a search of this kind, capped at a few backtracks, between
+B pinned at j0 and B pinned at j with level L's weight, and is kept only
+once it maps the one onto the other entry for entry, diagonal included,
+fixes the pins and sends j0 to j; the group of the kept ones that fix the
+pins gives the orbits.  The orbit step thus adds no numerical premise.  By
 induction an exhausted tree rules out every isomorphism, provided a true
 isomorphism's entries c[x][pi(x)] stay below eps.  That premise is
-numerical: rounding must stay far below eps, and both sides must be
-grouped alike, which the shared partition ensures.  As the premise is not
-checked, exhaustion is reported as reason ``"exhaustion"``, a heuristic.
+numerical: rounding must stay far below eps, and both sides must be grouped
+alike, which the shared partition ensures.  As the premise is not checked,
+exhaustion is reported as reason ``"exhaustion"``, a heuristic.
 """
 
 from __future__ import annotations
@@ -124,16 +123,15 @@ class SolveReport:
     gives a row- or column-minimum sum, and a mask without a perfect
     matching its least entry outside the mask.  An accepted cost, at the
     root as in every round, is the row-order sum of the sub-eps mask's
-    matching, an upper bound of the optimum and below n * eps.  The root's
-    witness is that matching, a pin's a perfect matching of its mask cut to
-    the consistency fixpoint (see the module docstring).  An isomorphic
-    search ends at the first verified witness, so rounds may stop short of n.
-    rounds are the accepted :class:`SearchEvent` of each level on the
-    search's path, in level order, the very objects :func:`search` yields;
-    a round's i is the A-vertex its level pinned, and its mask the sub-eps
-    mask of its pin, with ``int(r.mask.sum())`` entries.  A NOT_ISOMORPHIC
-    search ends with no level left, so with no rounds; an INCONCLUSIVE one
-    keeps the pins not yet refuted when it crossed the cap.
+    matching, the witness, an upper bound of the optimum and below n * eps.
+    An isomorphic search ends at the first verified witness, so rounds may
+    stop short of n.  rounds are the accepted :class:`SearchEvent` of each
+    level on the search's path, in level order, the very objects
+    :func:`search` yields; a round's i is the A-vertex its level pinned, and
+    its mask the mask the level below reads, with ``int(r.mask.sum())``
+    entries.  A NOT_ISOMORPHIC search ends with no level left, so with no
+    rounds; an INCONCLUSIVE one keeps the pins not yet refuted when it
+    crossed the cap.
     pruned counts the candidates skipped by an automorphism of B (see
     :class:`SearchEvent`), consistency_rejects the pins refuted by
     :func:`_arc_consistency`, inner_searches the capped searches run to
@@ -366,17 +364,19 @@ def _decide(c: np.ndarray, eps: float) -> tuple[float, Permutation | None, np.nd
 
 
 def _evaluate(
-    da: SpectralDecomposition, db: SpectralDecomposition, eps: float
+    da: SpectralDecomposition, db: SpectralDecomposition, eps: float, within: np.ndarray | None = None
 ) -> tuple[float, Permutation | None, np.ndarray | None]:
     """Spectral check, then cost matrix and assignment decision.
 
-    Returns (e, assignment, sub-eps mask) as :func:`_decide` does, or (spectral
-    distance, None, None) when the spectra differ by more than ``eps``.
+    Returns (e, assignment, sub-eps mask) as :func:`_decide` does with the
+    costs outside ``within`` (a pin's consistency fixpoint) set to inf, or
+    (spectral distance, None, None) when the spectra differ by more than eps.
     """
     dist = spectral_distance(da, db)
     if dist > eps:
         return dist, None, None
-    return _decide(build_cost_matrix(da, db, eps), eps)
+    c = build_cost_matrix(da, db, eps)
+    return _decide(c if within is None else np.where(within, c, np.inf), eps)
 
 
 def _pattern(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -421,11 +421,11 @@ class SearchEvent(NamedTuple):
 
     The root, where nothing is pinned, has level = i = j = None.  cost and
     mask are those of :func:`_evaluate` (mask None when no cost matrix was
-    built); accepted means the pair passed: the mask holds a perfect
-    matching.  An accepted cost is that matching's row-order sum, an upper
-    bound of the optimum, and its mask the pin's sub-eps mask, before the
-    search cuts it to the consistency fixpoint; the cut's perfect matching
-    is the pin's witness.  Two forms have cost inf, mask None and accepted
+    built), a pin's within its consistency fixpoint: the mask the level
+    below reads.  accepted means the mask holds a perfect matching, the
+    witness, whose row-order sum is the cost, an upper bound of the optimum;
+    a rejected pin's cost is at least eps, inf when no assignment lies
+    within the fixpoint.  Two forms have cost inf, mask None and accepted
     False, and neither was decomposed: pruned marks a candidate skipped
     since an automorphism of B that fixes the pins maps a candidate already
     ruled out onto it, and a candidate with pruned False was refuted by
@@ -477,11 +477,11 @@ def search(
     :func:`is_exact_isomorphism` on the full matrices, so it maps them too,
     and every pin weighs more than any of them.  Each level pins the free
     A-vertex whose row of its parent's mask offers the fewest B-vertices,
-    at least two, and tries those; a pin checks one witness, a perfect
-    matching of the mask it hands down, and a mask without such a row is
-    that witness alone (see the module docstring).  The searches for
-    automorphisms that prune candidates are searches of this kind; their
-    work is counted in the report, not streamed.
+    at least two, and tries those; a pin is decided once, on the mask it
+    hands down, whose perfect matching is its one witness, and a mask
+    without such a row is that witness alone (see the module docstring).
+    The searches for automorphisms that prune candidates are searches of
+    this kind; their work is counted in the report, not streamed.
 
     Each level is a nested call, so the stack holds one frame per pin on the
     path plus about five, an inner search's on top of its caller's.  A path
@@ -565,7 +565,7 @@ def search(
                 yield SearchEvent(depth, i, j, float("inf"), None, False, pruned=True)
                 continue
             b_pinned = perturb(b_prev, j, w)
-            e, perm, sub = _evaluate(da, eigendecompose(b_pinned), eps)
+            e, perm, sub = _evaluate(da, eigendecompose(b_pinned), eps, consistent)
             rep.decompositions += 1
             rep.lap_solves += sub is not None
             event = SearchEvent(depth, i, j, e, sub, perm is not None)
@@ -574,16 +574,12 @@ def search(
                 continue
             accepted.append(j)
             rep.rounds.append(event)
-            # The level below reads the sub-eps mask cut to the fixpoint; its
-            # matching is the pin's witness, and none refutes the pin.
-            cut = consistent & sub
-            if (match := perfect_matching(cut)) is not None:
-                if is_exact_isomorphism(a, b, perm := Permutation(match)):
+            if is_exact_isomorphism(a, b, perm):
+                return perm
+            # With no row to pin, the mask is the matching that just failed.
+            if (below := fewest(sub)) is not None:
+                if (perm := (yield from level(a_pinned, b_pinned, sub, below))) is not None:
                     return perm
-                # With no row to pin, the cut is the matching that just failed.
-                if (below := fewest(cut)) is not None:
-                    if (perm := (yield from level(a_pinned, b_pinned, cut, below))) is not None:
-                        return perm
             rep.rounds.pop()  # a backtrack: the pin is refuted, so no round even at the cap
             rep.backtrack_steps += 1
             if rep.backtrack_steps > opts.max_backtrack_steps:

@@ -316,7 +316,7 @@ class TestBench:
         assert f"argument {flag}: must be >= 0, got -5" in capsys.readouterr().err
 
 
-class TestDumpCost:
+class TestMasksOut:
     """check --masks-out: the root's mask and each accepted pin's, as files."""
 
     @staticmethod

@@ -84,6 +84,14 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation([1, 2, 3])
 
+    def test_rejects_non_integral_entries(self):
+        # once truncated to the bijection [0, 1]; integral floats still pass
+        for bad in ([0.9, 1.2], [0.0, 1.5], [np.nan, 0.0]):
+            with pytest.raises(ValueError, match="not a bijection"):
+                Permutation(bad)
+        assert Permutation([1.0, 0.0]).map.tolist() == [1, 0]
+        assert Permutation(np.array([1.0, 0.0])).map.dtype == int
+
     def test_inverse(self):
         p = Permutation([2, 0, 1, 3])
         q = inverse(p)

@@ -342,6 +342,16 @@ def _has_matching(mask):
     return solve_lap((~mask).astype(float)).cost == 0
 
 
+def _optimum(c):
+    """The Hungarian optimum over the finite entries of c, cost inf when every
+    assignment meets an inf entry (one outside a pin's consistency fixpoint)."""
+    finite = np.isfinite(c)
+    lap = solve_lap(np.where(finite, c, c.shape[0] * c[finite].max(initial=0.0) + 1.0))
+    if finite[np.arange(c.shape[0]), lap.assignment.map].all():
+        return lap
+    return lap._replace(cost=np.inf)
+
+
 class TestMaskFirstDecision:
     """solver._decide, which decides by the sub-eps mask alone, against solve_lap."""
 
@@ -463,7 +473,7 @@ class TestMaskFirstDecision:
             )
 
         def hungarian_only(c, eps):
-            lap = solve_lap(c)
+            lap = _optimum(c)
             return lap.cost, lap.assignment if lap.cost < eps else None, c < eps
 
         def run(a, b):
@@ -494,17 +504,18 @@ class TestMaskFirstDecision:
                 _assert_costs_by_contract(got, _costs(want), self.EPS, name)
                 continue
             # The Hungarian's optimum can be another sub-eps assignment than
-            # the mask's matching.  Only the root checks it; a pin's witness
-            # is the matching of its cut mask whichever assignment _decide
-            # returns, so both searches walk one path.
+            # the mask's matching and hold at another pin.  Both searches
+            # walk one tree, so one event stream is a prefix of the other.
             assert is_exact_isomorphism(a, b, got.permutation), name
             assert is_exact_isomorphism(a, b, want.permutation), name
-            assert list(map(fields, got_events)) == list(map(fields, want_events)), name
             for g, w in zip(got_events, want_events):
+                assert fields(g) == fields(w), name
                 if w.accepted:
                     assert w.cost <= g.cost, name
                 else:
                     assert self.EPS <= g.cost <= w.cost, name
+            exits_differ += len(got_events) != len(want_events)
+        assert exits_differ > 0
         assert any(want.root_cost >= self.EPS for _, want in reference)
 
 
@@ -547,17 +558,18 @@ def _scan_all_search(a, b, eps=1e-6):
     Level L pins the A-vertex that :func:`_fail_first` picks from its
     parent mask and tries every B-vertex not yet pinned.  A pin is first
     refined on the parent mask by :func:`arc_consistency_reference`, and
-    one that leaves a line empty is refuted with no decomposition.  A pair
-    passes when its sub-eps mask holds a perfect matching, as a Hungarian
-    solve on the mask's complement finds, and every cost is the Hungarian
-    optimum of its cost matrix or a spectral distance.  The root verifies
-    the assignment that solver._decide proposes, and an accepted pin the
-    matching that solver.perfect_matching finds in the next level's parent
-    mask, the sub-eps mask cut to the fixpoint, as the search does; the
-    first that holds ends the search.  A cut without a perfect matching
-    refutes the pin, as does a failed witness with no row left to pin.
-    Returns the report's fields, its (cost, accepted) pairs (the root's,
-    then the rounds'), and its operation counts.
+    one that leaves a line empty is refuted with no decomposition.  A pin's
+    costs outside its fixpoint are set to inf, so its sub-eps mask lies
+    within the fixpoint.  A pair passes when its sub-eps mask holds a
+    perfect matching, as a Hungarian solve on the mask's complement finds,
+    and every cost is the Hungarian optimum of its finite entries or a
+    spectral distance.  The root verifies the assignment that
+    solver._decide proposes, and an accepted pin the matching that
+    solver.perfect_matching finds in its sub-eps mask, the next level's
+    parent mask, as the search does; the first that holds ends the search.
+    A failed witness with no row left to pin refutes the pin.  Returns the
+    report's fields, its (cost, accepted) pairs (the root's, then the
+    rounds'), and its operation counts.
     """
     n = a.n
     counts = {"dec": 2, "lap": 0, "bt": 0}
@@ -604,20 +616,20 @@ def _scan_all_search(a, b, eps=1e-6):
             if spectral_distance(da, db) > eps:
                 continue
             c = build_cost_matrix(da, db, eps)
+            c[~consistent] = np.inf
             counts["lap"] += 1
-            if not _has_matching(c < eps):
+            sub = c < eps
+            if not _has_matching(sub):
                 continue
-            rounds.append((i, j, solve_lap(c).cost, int((c < eps).sum())))
-            cut = consistent & (c < eps)
-            if _has_matching(cut):
-                witness = Permutation(solver.perfect_matching(cut))
-                if is_exact_isomorphism(a, b, witness):
-                    return witness
-                child = _fail_first(cut, rounds)
-                if child is not None:
-                    found = descend(level + 1, a_pinned, b_pinned, cut, child)
-                    if found is not None:
-                        return found
+            rounds.append((i, j, _optimum(c).cost, int(sub.sum())))
+            witness = Permutation(solver.perfect_matching(sub))
+            if is_exact_isomorphism(a, b, witness):
+                return witness
+            child = _fail_first(sub, rounds)
+            if child is not None:
+                found = descend(level + 1, a_pinned, b_pinned, sub, child)
+                if found is not None:
+                    return found
             counts["bt"] += 1
             rounds.pop()
         return None
@@ -711,6 +723,32 @@ class TestMaskGuidedSearch:
         assert min(seen.values()) > 20, seen
         assert not hungarian_runs
 
+    def test_accepted_masks_nest_and_the_level_below_scans_their_row(self):
+        # an accepted pin's mask lies inside its parent's (the root's at
+        # level 0), and the level below scans exactly that mask's row of its
+        # vertex, in order, all of it unless the search ends there
+        g = paley(17)
+        b = apply_permutation(g, random_permutation(17, 1))
+        *events, report = solver.search(g, b, SolverOptions())
+        assert report.outcome == ISOMORPHIC
+        masks = {}  # level -> the mask of its last accepted event, -1 the root
+        for k, e in enumerate(events):
+            if not e.accepted:
+                continue
+            level = -1 if e.level is None else e.level
+            if level >= 0:
+                assert not (e.mask & ~masks[level - 1]).any(), level
+            masks[level] = e.mask
+            # the level below's events, up to the next one at this level or above
+            rest = events[k + 1 :]
+            end = next((t for t, f in enumerate(rest) if f.level <= level), len(rest))
+            scanned = [(f.i, f.j) for f in rest[:end] if f.level == level + 1]
+            if scanned:
+                i = scanned[0][0]
+                row = [(i, j) for j in np.flatnonzero(e.mask[i]).tolist()]
+                assert scanned == (row[: len(scanned)] if end == len(rest) else row), level
+        assert len(report.rounds) >= 3
+
     def test_masks_never_offer_a_pinned_vertex(self):
         # a pinned B-vertex carries a loop of weight at least 1 and an
         # unpinned A-vertex none, which no sub-eps entry matches on 0/1 input
@@ -753,7 +791,7 @@ class TestMaskGuidedSearch:
             for e, c in zip(with_mask, outer):
                 if e.level is None or not e.accepted:
                     continue
-                optimum = solve_lap(c).cost
+                optimum = _optimum(c).cost
                 assert optimum <= e.cost < eps, name
                 if is_unique_zero_assignment(e.mask):
                     assert e.cost == optimum, name
@@ -789,16 +827,22 @@ class TestIsIsomorphicAccepts:
         assert (report.decompositions, report.lap_solves) == (2, 1)
 
     def test_first_verified_pin_ends_the_search(self):
-        # the second pin's sub-eps assignment holds, while its mask still
-        # holds more than one permutation; the second level pins A-vertex 1,
-        # whose row of the refined mask offers the fewest candidates
+        # the second pin's sub-eps assignment holds, while its uncut sub-eps
+        # mask still holds more than one permutation; within the pin's
+        # consistency fixpoint it is that assignment alone.  The second level
+        # pins A-vertex 1, whose row of the refined mask offers the fewest
+        # candidates
         g = paley(13)
         b = apply_permutation(g, random_permutation(13, 77))
         report = is_isomorphic(g, b)
         assert report.outcome == ISOMORPHIC
         assert is_exact_isomorphism(g, b, report.permutation)
         assert [r.i for r in report.rounds] == [0, 1]
-        assert report.rounds[-1].mask.sum() > 13
+        (i0, j0), (i1, j1) = [(r.i, r.j) for r in report.rounds]
+        da = eigendecompose(perturb(perturb(g, i0, 1.0), i1, 2.0))
+        db = eigendecompose(perturb(perturb(b, j0, 1.0), j1, 2.0))
+        assert (build_cost_matrix(da, db, 1e-6) < 1e-6).sum() > 13
+        assert report.rounds[-1].mask.sum() == 13
         assert report.backtrack_steps == 0
 
     def test_paley17_valid_permutation(self):
@@ -999,20 +1043,41 @@ class TestPinWitness:
         assert (report.outcome, report.reason) == (NOT_ISOMORPHIC, "exhaustion")
         assert (report.decompositions, report.backtrack_steps) == (2, 0)
 
+    def test_loose_eps_pin_is_decided_once_within_its_fixpoint(self):
+        # at eps = 2 the sub-eps mask of pin (0, 1) holds a perfect matching
+        # and its consistency fixpoint does not: the one decision, made on
+        # the mask within the fixpoint, rejects the pin at cost inf, with no
+        # round and no backtrack
+        adj = np.zeros((5, 5))
+        for u, v in ((0, 2), (0, 3), (1, 2), (1, 3), (1, 4)):
+            adj[u, v] = adj[v, u] = 1.0
+        g = Graph(adj)
+        b = apply_permutation(g, random_permutation(5, 241))
+        *events, report = solver.search(g, b, SolverOptions(eps=2.0, max_backtrack_steps=30))
+        (pin,) = [e for e in events if (e.level, e.i, e.j) == (0, 0, 1)]
+        assert pin.mask is not None and not pin.accepted and pin.cost == np.inf
+        da, db = eigendecompose(perturb(g, 0, 1.0)), eigendecompose(perturb(b, 1, 1.0))
+        assert _has_matching(build_cost_matrix(da, db, 2.0) < 2.0)
+        assert report.outcome == ISOMORPHIC and report.backtrack_steps == 0
+        assert [(r.level, r.i, r.j) for r in report.rounds] == [(0, 0, 2)]
+        assert report.decompositions == 5  # the root's two, pinned A's one, two pins
+        assert is_exact_isomorphism(g, b, report.permutation)
+
     def test_loose_eps_never_pins_a_b_vertex_twice(self, search_spy):
         # at eps = 2 a pin's loop no longer sets its B-vertex apart, so the
-        # sub-eps masks offer it again; the parent mask a pin is refined on
-        # has the pinned columns cleared, so no stream, an inner search's
+        # uncut sub-eps masks offer it again; the parent mask a pin is refined
+        # on has the pinned columns cleared, so no stream, an inner search's
         # included, pins one B-vertex at two levels at once
         g = path(3)
         b = apply_permutation(g, random_permutation(3, 0))
         report = is_isomorphic(g, b, SolverOptions(eps=2.0))
-        assert any(
-            e.mask[:, e.j].sum() > 1
-            for *_, items in search_spy.calls
-            for e in items[:-1]
-            if e.level is not None and e.accepted
-        )
+        outer = next(items for depth, *_, items in search_spy.calls if depth == 0)
+        offered = []  # A-vertices a first-level pin's uncut mask offers its B-vertex
+        for e in outer[:-1]:
+            if e.level == 0 and e.mask is not None:
+                da, db = eigendecompose(perturb(g, e.i, 1.0)), eigendecompose(perturb(b, e.j, 1.0))
+                offered.append(int((build_cost_matrix(da, db, 2.0)[:, e.j] < 2.0).sum()))
+        assert max(offered) > 1
         pinned = 0
         for *_, items in search_spy.calls:
             pins = []
