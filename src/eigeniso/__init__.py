@@ -1,12 +1,10 @@
 """eigeniso: graph isomorphism testing via eigenspace projections.
 
 The solver certifies isomorphism by constructing an explicit vertex
-permutation: eigenvalue degeneracies are broken by adding self-loops of
-increasing weight, candidate assignments are scored by comparing sorted
-rows of eigenspace projectors, and a perfect matching among the cost
-matrix's sub-eps entries decides feasibility of each round.
-Non-isomorphism is reported either with a certificate or, after
-exhaustive search, as a heuristic rejection.
+permutation: sorted rows of eigenspace projectors score the root's
+assignments, and eigenvalue degeneracies are broken by pinning vertices
+and refining colours.  Non-isomorphism is reported either with a
+certificate or, after exhaustive search, as a heuristic rejection.
 """
 
 from .generators import (

@@ -143,7 +143,7 @@ def shrikhande() -> Graph:
 
     Strongly regular with the same parameters (16, 6, 2, 2) as the 4x4
     rook's graph yet not isomorphic to it; the pair is indistinguishable
-    by spectra and by unperturbed projector costs.
+    by spectra and by the root's projector costs.
     """
     step = np.zeros((4, 4), dtype=bool)
     step[[1, 0, 1], [0, 1, 1]] = True  # 10, 01 and 11; _graph adds their negatives
@@ -153,9 +153,9 @@ def shrikhande() -> Graph:
 def srg_fixture() -> tuple[Graph, Graph]:
     """Same-parameter strongly-regular pair: rook's 4x4 graph vs Shrikhande.
 
-    The hardest small non-isomorphic pair for this method: every round of
-    the search stays spectrally feasible, so rejection must come from the
-    perturbation search itself (with backtracking), not from a certificate.
+    The hardest small non-isomorphic pair for this method: the root's cost
+    matrix is all zero, so rejection must come from the search itself
+    (with backtracking), not from a certificate.
     """
     return lattice(4), shrikhande()
 

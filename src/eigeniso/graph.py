@@ -1,8 +1,8 @@
 """Graph and permutation types, permutation application, and graph file I/O.
 
 Graphs are stored as dense symmetric matrices of floats.  Plain input graphs
-have 0/1 off-diagonal entries and a zero diagonal; the diagonal is reserved
-for self-loop weights added by :func:`perturb` during the solver's search.
+have 0/1 off-diagonal entries and a zero diagonal; :func:`perturb` adds a
+self-loop weight, the paper's way to pin a vertex.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def apply_permutation(g: Graph, p: Permutation) -> Graph:
 def is_exact_isomorphism(a: Graph, b: Graph, p: Permutation) -> bool:
     """Whether B[p(i)][p(j)] == A[i][j] for every i and j, diagonal included.
 
-    The full matrices are compared, so loop weights (the pins of a search)
-    must map onto each other as well as the edges.
+    The full matrices are compared, so loop weights must map onto each
+    other as well as the edges.
     """
     if a.n != b.n or len(p) != a.n:
         raise ValueError("size mismatch")

@@ -1,64 +1,56 @@
-"""Isomorphism search: projector cost matrices, perturbation rounds, backtracking.
+"""Isomorphism search: a projector cost matrix at the root, then pins by colour refinement.
 
 For every eigenvalue group the rows of the two orthogonal projectors are
 sorted and compared pairwise, giving a nonnegative cost matrix whose
 assignment optimum is (near) zero whenever the graphs are isomorphic.
-Both sides of a pair use one partition, cut only where both spectra have a
-gap of at least eps, and one function, :func:`_decide`, decides every cost
-matrix.  Repeated eigenvalues leave the assignment ambiguous, so the search
-pins level by level.  Level L takes the free vertex i of A whose row of the
-parent mask (at level 0, the root's sub-eps mask) offers the fewest
-B-vertices, at least two, puts a self-loop of weight base + L + 1 on it,
-base being the largest loop weight of the inputs, and scans those
-B-vertices for a partner j.  Before a candidate j costs a decomposition,
-the parent mask with row i and column j cleared and (i, j) set is refined
-to arc consistency (:func:`_arc_consistency`); a row or column left empty
-refutes the pin.  Else the pin is decided once, on its sub-eps mask within
-that fixpoint (the costs outside it set to inf): a perfect matching of that
-mask accepts the pin and is its witness, and the mask is the next level's
-parent mask.  Each fixpoint keeps its pinned rows and columns to their pins
-alone, so no level offers a B-vertex pinned above it, at any eps.  The
-root's witness is its sub-eps mask's matching.  The search ends at the
-first witness that maps the inputs onto each other entry for entry,
-diagonal included (:func:`is_exact_isomorphism`).  Each level is one call;
-a pin whose witness fails calls the level below, unless no row of its mask
-offers two B-vertices, for then the mask is that witness alone and the pin
-a dead end.  A level out of candidates returns, refuting the pin that
-called it (backtracking).  :func:`search` yields one event per candidate
-and the report last; :func:`is_isomorphic` reads the report,
-``check --masks-out`` the events' masks.
+Both sides use one partition, cut only where both spectra have a gap of at
+least eps, and :func:`_decide` decides the matrix by its sub-eps mask, the
+root's mask.  Only the root decomposes.  Repeated eigenvalues leave the
+assignment ambiguous, so the search pins level by level, as
+individualisation-refinement solvers do (McKay & Piperno 2014).  Level L
+takes the free vertex i of A whose row of the parent mask (at level 0, the
+root's) offers the fewest B-vertices, at least two, and scans those for a
+partner j.  A pin (i, j) gives i and j one fresh shared colour, and the
+colours of A and B, which start as the classes of equal diagonal entries,
+are refined together (:func:`_refine`); unequal histograms refute the pin.
+Else the pin's mask is the parent mask on pairs of equal colour, row i and
+column j cleared but for (i, j), at its arc-consistency fixpoint
+(:func:`_arc_consistency`); an emptied line refutes the pin.  A perfect
+matching of that mask accepts the pin and is its witness, and the mask is
+the next level's parent mask.  The search ends at the first witness that
+maps the inputs onto each other entry for entry, diagonal included
+(:func:`is_exact_isomorphism`).  Each level is one call; a pin whose
+witness fails calls the level below, unless no row of its mask offers two
+B-vertices, for then the mask is that witness alone and the pin a dead
+end.  A level out of candidates returns, refuting the pin that called it
+(backtracking).  :func:`search` yields one event per candidate and the
+report last; :func:`is_isomorphic` reads the report, ``check
+--masks-out`` the events' masks.
 
-What exhaustion proves.  Every rejection in the search is a necessary
-condition failing: the pinned spectra differ by more than eps, the sub-eps
-mask (at a pin, within its fixpoint) has no perfect matching, or a
-consistency fixpoint leaves a line empty.  Let pi be an isomorphism
-extending the pins so far.  The pinned graphs are isomorphic through pi, so
-every c[x][pi(x)] is zero up to rounding and pi lies in the sub-eps mask of
-each of its pins.  It lies in each parent mask too, by induction over the
-levels: if pi lies in level L's parent mask, it lies in that mask with row
-i and column pi(i) cleared and (i, pi(i)) set.  There each pair (x, pi(x))
-is supported by pi's own pairs: a neighbour x' of x has the partner pi(x')
-among the neighbours of pi(x), and the other way round, since pi maps
-nonzero weights, the edges the filter reads, onto nonzero weights.  A pass
-drops only unsupported pairs, so the fixpoint keeps pi whole, and so does
-the pin's mask, its sub-eps entries within the fixpoint.  So a parent mask
+What exhaustion proves.  Let pi be an isomorphism extending the pins so
+far.  Its root entries c[x][pi(x)] are zero up to rounding, so pi lies in
+the root's mask; if pi lies in level L's parent mask, the pin (i, pi(i))
+passes every test.  pi maps A's colours onto B's: at the start, as it maps
+the diagonal and i onto pi(i), and after each pass, as a new colour is a
+function of the old one and the multiset of the neighbours' colours.  So
+the histograms agree and pi lies in the mask of equal colours, where each
+pair (x, pi(x)) is supported by pi's own pairs (pi maps neighbours onto
+neighbours), so the fixpoint keeps pi whole.  By induction a parent mask
 in which no row offers two B-vertices is pi, the witness checked above it,
-else level L's candidates, the row of its vertex i, contain pi(i), and the
-pin (i, pi(i)) passes all three tests: the filter adds no premise to the
-one below.  Level L also skips a candidate j when an automorphism sigma of
-B that fixes every pinned B-vertex maps a candidate j0 it has ruled out
-(refuted, rejected or exhausted) onto j: were pi(i) = j, then sigma^-1 pi
-would extend the pins with (i, j0), which j0's failure ruled out.  Each
-sigma comes from a search of this kind, capped at a few backtracks, between
-B pinned at j0 and B pinned at j with level L's weight, and is kept only
-once it maps the one onto the other entry for entry, diagonal included,
-fixes the pins and sends j0 to j; the group of the kept ones that fix the
-pins gives the orbits.  The orbit step thus adds no numerical premise.  By
-induction an exhausted tree rules out every isomorphism, provided a true
-isomorphism's entries c[x][pi(x)] stay below eps.  That premise is
-numerical: rounding must stay far below eps, and both sides must be grouped
-alike, which the shared partition ensures.  As the premise is not checked,
-exhaustion is reported as reason ``"exhaustion"``, a heuristic.
+else level L's candidates contain pi(i).  No test below the root is
+numerical: colours are integers (a collision of sums merges colours, which
+keeps pi) and masks booleans.  Level L also skips a candidate j when an
+automorphism sigma of B fixing every pinned B-vertex maps a candidate j0
+it has ruled out (refuted, rejected or exhausted) onto j: were pi(i) = j,
+sigma^-1 pi would extend the pins with (i, j0).  Each sigma comes from the
+levels of B against B under the level's colours, from a level that offers
+j0 the candidate j alone, capped at a few backtracks; it is kept only once
+it maps B onto itself entry for entry and fixes the pins.  So an exhausted
+tree rules out every isomorphism, provided a true isomorphism's root
+entries stay below eps.  That premise is numerical: rounding must stay far
+below eps, and both sides must be grouped alike, which the shared
+partition ensures.  As it is not checked, exhaustion is reported as reason
+``"exhaustion"``, a heuristic.
 """
 
 from __future__ import annotations
@@ -70,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, Permutation, is_exact_isomorphism, perturb
+from .graph import Graph, Permutation, is_exact_isomorphism
 from .spectral import (
     DEFAULT_EPS,
     SpectralDecomposition,
@@ -121,25 +113,24 @@ class SolveReport:
     rejection: filtered entries hold partial sums of a row-norm bound (see
     :func:`build_cost_matrix`), an empty row or column of the sub-eps mask
     gives a row- or column-minimum sum, and a mask without a perfect
-    matching its least entry outside the mask.  An accepted cost, at the
-    root as in every round, is the row-order sum of the sub-eps mask's
-    matching, the witness, an upper bound of the optimum and below n * eps.
-    An isomorphic search ends at the first verified witness, so rounds may
-    stop short of n.  rounds are the accepted :class:`SearchEvent` of each
-    level on the search's path, in level order, the very objects
-    :func:`search` yields; a round's i is the A-vertex its level pinned, and
-    its mask the mask the level below reads, with ``int(r.mask.sum())``
-    entries.  A NOT_ISOMORPHIC search ends with no level left, so with no
-    rounds; an INCONCLUSIVE one keeps the pins not yet refuted when it
-    crossed the cap.
-    pruned counts the candidates skipped by an automorphism of B (see
-    :class:`SearchEvent`), consistency_rejects the pins refuted by
-    :func:`_arc_consistency`, inner_searches the capped searches run to
-    find those automorphisms, nested ones included.  decompositions,
-    lap_solves (the cost matrices decided) and consistency_rejects include
-    the inner searches'.  backtrack_steps counts the accepted pins that
-    proved dead ends.  :func:`search` counts into the report as it runs;
-    the size-mismatch report counts nothing.
+    matching its least entry outside the mask.  An accepted cost is the
+    row-order sum of the sub-eps mask's matching, the witness, an upper
+    bound of the optimum and below n * eps.  rounds are the accepted
+    :class:`SearchEvent` of each level on the search's path, in level
+    order, the very objects :func:`search` yields; a round's i is the
+    A-vertex its level pinned, its cost 0.0, and its mask the mask the
+    level below reads.  An isomorphic search ends at the first verified
+    witness, so rounds may stop short of n; a NOT_ISOMORPHIC one ends with
+    no rounds; an INCONCLUSIVE one keeps the pins not yet refuted when it
+    crossed the cap.  pruned counts the candidates skipped by an
+    automorphism of B, consistency_rejects the pins refuted by unequal
+    colour histograms or an emptied line (see :class:`SearchEvent`),
+    inner_searches the capped searches for those automorphisms, nested ones
+    included; consistency_rejects includes theirs.  decompositions and
+    lap_solves (cost matrices decided) count the root's alone.
+    backtrack_steps counts the accepted pins that proved dead ends.
+    :func:`search` counts into the report as it runs; the size-mismatch
+    report counts nothing.
     """
 
     outcome: str
@@ -364,35 +355,32 @@ def _decide(c: np.ndarray, eps: float) -> tuple[float, Permutation | None, np.nd
 
 
 def _evaluate(
-    da: SpectralDecomposition, db: SpectralDecomposition, eps: float, within: np.ndarray | None = None
+    da: SpectralDecomposition, db: SpectralDecomposition, eps: float
 ) -> tuple[float, Permutation | None, np.ndarray | None]:
     """Spectral check, then cost matrix and assignment decision.
 
-    Returns (e, assignment, sub-eps mask) as :func:`_decide` does with the
-    costs outside ``within`` (a pin's consistency fixpoint) set to inf, or
+    Returns (e, assignment, sub-eps mask) as :func:`_decide` does, or
     (spectral distance, None, None) when the spectra differ by more than eps.
     """
     dist = spectral_distance(da, db)
     if dist > eps:
         return dist, None, None
-    c = build_cost_matrix(da, db, eps)
-    return _decide(c if within is None else np.where(within, c, np.inf), eps)
+    return _decide(build_cost_matrix(da, db, eps), eps)
 
 
-def _pattern(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """g's off-diagonal nonzeros as a 0/1 float32 matrix, and its degrees.
+def _pattern(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g's off-diagonal nonzeros (any weight an edge) as a 0/1 float32 matrix,
+    its degrees, and the matrix in uint64.
 
-    Any nonzero weight counts as an edge.  float32 holds every count of
-    :func:`_arc_consistency` exactly, up to 2**24.
+    float32 holds every count of :func:`_arc_consistency` exactly, up to
+    2**24; uint64 products with :func:`_refine`'s keys wrap modulo 2**64.
     """
     edges = (g.adj != 0).astype(np.float32)
     np.fill_diagonal(edges, 0)
-    return edges, edges.sum(axis=1)
+    return edges, edges.sum(axis=1), edges.astype(np.uint64)
 
 
-def _arc_consistency(
-    mask: np.ndarray, pa: tuple[np.ndarray, np.ndarray], pb: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray | None:
+def _arc_consistency(mask: np.ndarray, pa: tuple, pb: tuple) -> np.ndarray | None:
     """The largest submask of ``mask`` in which every pair is supported, or
     None once a row or column of it is empty.
 
@@ -402,7 +390,7 @@ def _arc_consistency(
     Each pass drops every pair unsupported in the last mask, until a pass
     drops none (Ullmann 1976).
     """
-    (a, deg_a), (b, deg_b) = pa, pb
+    (a, deg_a, _), (b, deg_b, _) = pa, pb
     count = np.count_nonzero(mask)
     while True:
         m = mask.astype(np.float32)
@@ -416,20 +404,64 @@ def _arc_consistency(
         count = kept
 
 
+def _refine(pa: tuple, pb: tuple, colours: np.ndarray, keys: np.ndarray) -> np.ndarray | None:
+    """Colour refinement of A and B together (Weisfeiler & Leman 1968).
+
+    ``colours`` colour A's vertices, then B's.  A pass gives each vertex
+    its colour's key in ``keys[0]`` plus the sum of its neighbours' keys in
+    ``keys[1]``, modulo 2**64 (one table would give a vertex of colour x
+    with neighbours y, y, y the sum of one of colour y with neighbours x, y,
+    y), and numbers the sums of both sides together in ascending order,
+    until the number of colours stops growing.  Returns the colours, or
+    None once the sides' histograms differ.  Integer sums do not depend on
+    the order of summation, so no label matters; sums that collide merge
+    colours, which keeps every isomorphism that maps colours onto colours.
+    """
+    (_, _, a), (_, _, b) = pa, pb
+    n = a.shape[0]
+    sides = np.repeat([1, -1], n)  # a colour's weights cancel when both sides hold it alike
+    k = np.count_nonzero(np.bincount(colours))
+    while True:
+        sums, near = keys[0][colours], keys[1][colours]
+        sums[:n] += a @ near[:n]
+        sums[n:] += b @ near[n:]
+        ids, colours = np.unique(sums, return_inverse=True)
+        if np.bincount(colours, weights=sides).any():
+            return None
+        if len(ids) <= k:
+            return colours
+        k = len(ids)
+
+
+def _individualise(pa: tuple, pb: tuple, mask: np.ndarray, colours: np.ndarray, i: int, j: int,
+                   keys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The pin (i, j): i and j take one fresh colour, :func:`_refine` refines
+    ``colours`` (A's vertices, then B's), and the pin's mask is the
+    :func:`_arc_consistency` fixpoint of ``mask`` on pairs of equal colour,
+    row i and column j cleared but for (i, j).  Returns the colours and the
+    mask, or None when the histograms differ or a line empties."""
+    n = mask.shape[0]
+    colours = colours.copy()
+    colours[i] = colours[n + j] = colours.max() + 1
+    if (colours := _refine(pa, pb, colours, keys)) is None:
+        return None
+    pinned = mask & (colours[:n, None] == colours[n:])
+    pinned[i], pinned[:, j] = False, False
+    pinned[i, j] = True
+    fixpoint = _arc_consistency(pinned, pa, pb)
+    return None if fixpoint is None else (colours, fixpoint)
+
+
 class SearchEvent(NamedTuple):
     """One candidate pair: vertex i of A pinned against vertex j of B at a level.
 
-    The root, where nothing is pinned, has level = i = j = None.  cost and
-    mask are those of :func:`_evaluate` (mask None when no cost matrix was
-    built), a pin's within its consistency fixpoint: the mask the level
-    below reads.  accepted means the mask holds a perfect matching, the
-    witness, whose row-order sum is the cost, an upper bound of the optimum;
-    a rejected pin's cost is at least eps, inf when no assignment lies
-    within the fixpoint.  Two forms have cost inf, mask None and accepted
-    False, and neither was decomposed: pruned marks a candidate skipped
-    since an automorphism of B that fixes the pins maps a candidate already
-    ruled out onto it, and a candidate with pruned False was refuted by
-    :func:`_arc_consistency` on the parent mask.
+    The root has level = i = j = None, and the cost and mask of
+    :func:`_evaluate` (mask None on a spectral rejection).  A pin's mask is
+    :func:`_individualise`'s, the mask the level below reads, and its cost
+    is 0.0 when accepted, else inf.  accepted means the mask holds a perfect
+    matching, the witness.  A pin with mask None was not decided: pruned, as
+    an automorphism of B fixing the pins maps a candidate already ruled out
+    onto it, or else refuted by unequal histograms or an emptied line.
     """
 
     level: int | None
@@ -459,35 +491,126 @@ def _orbit(seeds: list[int], generators: list[np.ndarray], n: int) -> np.ndarray
         inside = grown
 
 
+def _fewest(mask: np.ndarray) -> int | None:
+    """The A-vertex whose row of mask offers the fewest B-vertices, at least two; else None."""
+    sizes = mask.sum(axis=1)
+    sizes[sizes < 2] = mask.shape[0] + 1
+    return int(sizes.argmin()) if sizes.min() <= mask.shape[0] else None
+
+
 class _BacktrackCap(Exception):
     """A backtrack crossed the cap; :func:`search` ends the search where it catches this."""
+
+
+class _Levels:
+    """The levels of a search of A against B below its root: the edge
+    patterns, the colour keys, the report counted into, the backtrack cap,
+    and the kept automorphisms of B, each verified."""
+
+    def __init__(self, a: Graph, b: Graph, pa: tuple, pb: tuple, keys: np.ndarray, rep: SolveReport,
+                 cap: int) -> None:
+        self.a, self.b, self.pa, self.pb, self.keys, self.rep, self.cap = a, b, pa, pb, keys, rep, cap
+        self.automorphisms: list[np.ndarray] = []
+
+    def finds_automorphism(self, accepted: list[int], j: int, cb: np.ndarray, pins: list[int]) -> bool:
+        """Whether a capped search from a candidate its level accepted finds an
+        automorphism of b fixing the pins that maps it onto j; one found is kept.
+
+        The search runs the levels of B against B, both coloured ``cb``,
+        from a level that offers j0 the candidate j alone: B individualised
+        at j0 against B individualised at j.
+        """
+        b, rep = self.b, self.rep
+        for j0 in accepted:
+            rep.inner_searches += 1
+            inner = SolveReport(INCONCLUSIVE, None)
+            offer = np.ones((b.n, b.n), dtype=bool)
+            offer[j0] = False
+            offer[j0, j] = True
+            levels = _Levels(b, b, self.pb, self.pb, self.keys, inner, _AUTOMORPHISM_BACKTRACKS)
+            events = levels.level(offer, np.concatenate([cb, cb]), j0)
+            try:  # run unread to the end, for what the level returns
+                while True:
+                    next(events)
+            except StopIteration as stop:
+                sigma = stop.value
+            except _BacktrackCap:
+                sigma = None
+            rep.consistency_rejects += inner.consistency_rejects
+            rep.inner_searches += inner.inner_searches
+            # The colours keep every pin fixed, unless two keys' sums collided.
+            if sigma is not None and (sigma.map[pins] == pins).all():
+                self.automorphisms.append(sigma.map)
+                return True
+        return False
+
+    def level(self, mask: np.ndarray, colours: np.ndarray, i: int) -> Iterator[SearchEvent]:
+        """Pin A-vertex i against each B-vertex of its row of mask in turn,
+        searching the level below each accepted pin; returns the first
+        verified witness, or None once every candidate is ruled out."""
+        rep = self.rep
+        pins = [r.j for r in rep.rounds]  # the path above this level
+        depth, inf = len(pins), float("inf")
+        candidates = np.flatnonzero(mask[i]).tolist()
+        accepted: list[int] = []
+        for k, j in enumerate(candidates):
+            # The cheapest test first: a kept automorphism fixing the pins maps
+            # a candidate ruled out here onto j; then the refinement and its
+            # fixpoint, so a refuted pin costs no automorphism search.
+            fixing = [s for s in self.automorphisms if (s[pins] == pins).all()]
+            if _orbit(candidates[:k], fixing, mask.shape[0])[j]:
+                rep.pruned += 1
+                yield SearchEvent(depth, i, j, inf, None, False, pruned=True)
+                continue
+            pinned = _individualise(self.pa, self.pb, mask, colours, i, j, self.keys)
+            if pinned is None:
+                rep.consistency_rejects += 1
+                yield SearchEvent(depth, i, j, inf, None, False)
+                continue
+            if self.finds_automorphism(accepted, j, colours[mask.shape[0] :], pins):
+                rep.pruned += 1
+                yield SearchEvent(depth, i, j, inf, None, False, pruned=True)
+                continue
+            refined, sub = pinned
+            match = perfect_matching(sub)
+            event = SearchEvent(depth, i, j, inf if match is None else 0.0, sub, match is not None)
+            yield event
+            if match is None:
+                continue
+            accepted.append(j)
+            rep.rounds.append(event)
+            if is_exact_isomorphism(self.a, self.b, perm := Permutation(match)):
+                return perm
+            # With no row to pin, the mask is the witness that just failed.
+            if (below := _fewest(sub)) is not None:
+                if (perm := (yield from self.level(sub, refined, below))) is not None:
+                    return perm
+            rep.rounds.pop()  # a backtrack: the pin is refuted, so no round even at the cap
+            rep.backtrack_steps += 1
+            if rep.backtrack_steps > self.cap:
+                raise _BacktrackCap
+        return None
 
 
 def search(
     a: Graph, b: Graph, opts: SolverOptions
 ) -> Iterator[SearchEvent | SolveReport]:
-    """The perturbation search as a stream of events.
+    """The search (see the module docstring) as a stream of events.
 
     Yields one :class:`SearchEvent` per candidate pair, root first, and the
     :class:`SolveReport` as the last item.  Each pair is evaluated only
     when the next item is asked for, so a consumer that stops reading stops
     the search.  Options out of range raise :class:`ValueError` first,
-    whatever the sizes.  The inputs may carry loops on the diagonal, such
-    as pins of an outer search; every witness is checked by
-    :func:`is_exact_isomorphism` on the full matrices, so it maps them too,
-    and every pin weighs more than any of them.  Each level pins the free
-    A-vertex whose row of its parent's mask offers the fewest B-vertices,
-    at least two, and tries those; a pin is decided once, on the mask it
-    hands down, whose perfect matching is its one witness, and a mask
-    without such a row is that witness alone (see the module docstring).
-    The searches for automorphisms that prune candidates are searches of
-    this kind; their work is counted in the report, not streamed.
+    whatever the sizes.  The inputs may carry loops: the colours start
+    from the classes of equal diagonal entries, and every witness is
+    checked on the full matrices.  The searches for automorphisms that
+    prune candidates are counted in the report, not streamed.
 
     Each level is a nested call, so the stack holds one frame per pin on the
     path plus about five, an inner search's on top of its caller's.  A path
     of about 990 pins raises :class:`RecursionError` at Python's default
     limit of 1000.  k disjoint edges need k - 1 pins, so n near 2,000, where
-    n = 160 takes 2.1-2.4 s (2-core Xeon) and time grows about as n**4.
+    n = 160 takes 0.10-0.14 s (2-core Xeon) and time grows about as n**3.
     """
     eps = opts.eps
     if not 0 < eps < np.inf:
@@ -499,92 +622,11 @@ def search(
     if a.n != b.n:
         yield SolveReport(NOT_ISOMORPHIC, None, root_cost=float("inf"), reason="size")
         return
-    n = a.n
     rep = SolveReport(INCONCLUSIVE, None)  # counted into as the search runs
-    automorphisms: list[np.ndarray] = []  # of b, each verified
 
     def end(outcome: str, perm=None, reason=None) -> SolveReport:
         rep.outcome, rep.permutation, rep.reason = outcome, perm, reason
         return rep
-
-    def fewest(mask: np.ndarray) -> int | None:
-        """The free A-vertex offered the fewest B-vertices, at least two; else None."""
-        sizes = mask.sum(axis=1)
-        sizes[sizes < 2] = n + 1
-        return int(sizes.argmin()) if sizes.min() <= n else None
-
-    def finds_automorphism(b_prev: Graph, w: float, accepted: list[int], j: int, pins: list[int]) -> bool:
-        """Whether a capped search from a candidate its level accepted finds an
-        automorphism of b fixing the pins that maps it onto j; one found is kept."""
-        for j0 in accepted:
-            x, y = perturb(b_prev, j0, w), perturb(b_prev, j, w)
-            inner = deque(search(x, y, SolverOptions(eps, _AUTOMORPHISM_BACKTRACKS)), maxlen=1)[0]
-            rep.decompositions += inner.decompositions
-            rep.lap_solves += inner.lap_solves
-            rep.consistency_rejects += inner.consistency_rejects
-            rep.inner_searches += 1 + inner.inner_searches
-            if inner.outcome != ISOMORPHIC:
-                continue
-            sigma = inner.permutation.map
-            # Forced by the verified diagonals on loop-free inputs; checked for others.
-            if sigma[j0] == j and (sigma[pins] == pins).all():
-                automorphisms.append(sigma)
-                return True
-        return False
-
-    def level(a_prev: Graph, b_prev: Graph, mask: np.ndarray, i: int) -> Iterator[SearchEvent]:
-        """Pin A-vertex i against each B-vertex of its row of mask in turn,
-        searching the level below each accepted pin; returns the first
-        verified witness, or None once every candidate is ruled out."""
-        pins = [r.j for r in rep.rounds]  # the path above this level
-        depth, w = len(pins), base + len(pins) + 1.0
-        a_pinned = perturb(a_prev, i, w)
-        da = eigendecompose(a_pinned)
-        rep.decompositions += 1
-        candidates = np.flatnonzero(mask[i]).tolist()
-        accepted: list[int] = []
-        for k, j in enumerate(candidates):
-            # The cheapest test first: a kept automorphism fixing the pins maps
-            # a candidate ruled out here onto j; then the consistency filter, so
-            # a refuted pin costs no decomposition and no automorphism search.
-            fixing = [s for s in automorphisms if (s[pins] == pins).all()]
-            if _orbit(candidates[:k], fixing, n)[j]:
-                rep.pruned += 1
-                yield SearchEvent(depth, i, j, float("inf"), None, False, pruned=True)
-                continue
-            pinned = mask.copy()
-            pinned[i], pinned[:, j] = False, False
-            pinned[i, j] = True
-            consistent = _arc_consistency(pinned, pa, pb)
-            if consistent is None:
-                rep.consistency_rejects += 1
-                yield SearchEvent(depth, i, j, float("inf"), None, False)
-                continue
-            if finds_automorphism(b_prev, w, accepted, j, pins):
-                rep.pruned += 1
-                yield SearchEvent(depth, i, j, float("inf"), None, False, pruned=True)
-                continue
-            b_pinned = perturb(b_prev, j, w)
-            e, perm, sub = _evaluate(da, eigendecompose(b_pinned), eps, consistent)
-            rep.decompositions += 1
-            rep.lap_solves += sub is not None
-            event = SearchEvent(depth, i, j, e, sub, perm is not None)
-            yield event
-            if perm is None:
-                continue
-            accepted.append(j)
-            rep.rounds.append(event)
-            if is_exact_isomorphism(a, b, perm):
-                return perm
-            # With no row to pin, the mask is the matching that just failed.
-            if (below := fewest(sub)) is not None:
-                if (perm := (yield from level(a_pinned, b_pinned, sub, below))) is not None:
-                    return perm
-            rep.rounds.pop()  # a backtrack: the pin is refuted, so no round even at the cap
-            rep.backtrack_steps += 1
-            if rep.backtrack_steps > opts.max_backtrack_steps:
-                raise _BacktrackCap
-        return None
 
     rep.root_cost, perm, mask = _evaluate(eigendecompose(a), eigendecompose(b), eps)
     rep.decompositions += 2
@@ -597,14 +639,17 @@ def search(
         yield end(ISOMORPHIC, perm)
         return
 
-    # Pins weigh more than any loop of the inputs.  Both are set once a pin
-    # is needed, as are the edge patterns the consistency filter reads.
-    base = max(np.abs(np.diag(a.adj)).max(), np.abs(np.diag(b.adj)).max())
-    pa, pb = _pattern(a), _pattern(b)
+    # Set once a pin is needed: the edge patterns; two tables of colour keys,
+    # from a fixed seed so that every solve reads the same, with room for the
+    # 2n colours a joint colouring holds and a pin's fresh one; and the first
+    # colours, the classes of equal diagonal entries.
+    keys = np.random.default_rng(0).integers(2**64, size=(2, 2 * a.n + 1), dtype=np.uint64)
+    levels = _Levels(a, b, _pattern(a), _pattern(b), keys, rep, opts.max_backtrack_steps)
+    diagonals = np.unique(np.concatenate([np.diag(a.adj), np.diag(b.adj)]), return_inverse=True)[1]
     try:
         # With no row to pin, the mask is the matching that just failed.
-        i = fewest(mask)
-        perm = None if i is None else (yield from level(a, b, mask, i))
+        i = _fewest(mask)
+        perm = None if i is None else (yield from levels.level(mask, diagonals, i))
     except _BacktrackCap:
         yield end(INCONCLUSIVE, reason="backtrack_cap")
         return
@@ -612,17 +657,11 @@ def search(
 
 
 def is_isomorphic(a: Graph, b: Graph, opts: SolverOptions | None = None) -> SolveReport:
-    """Full isomorphism test of two plain graphs.
+    """Full isomorphism test of two plain graphs: :func:`search`'s report.
 
-    Runs the unperturbed feasibility check first (its failure certifies
-    non-isomorphism), then the perturbation rounds with backtracking.  The
-    returned permutation, when present, has been validated entry-for-entry
-    against the inputs, so an ``isomorphic`` outcome is unconditionally
-    sound.  ``not_isomorphic`` after search exhaustion carries reason
-    ``"exhaustion"``, as exhaustion is not a checked certificate.
-
-    The inputs must have a zero diagonal, since the search writes its pins
-    there; a self-loop raises :class:`ValueError`.
+    A returned permutation has been validated entry for entry against the
+    inputs, so an ``isomorphic`` outcome is unconditionally sound.  The
+    inputs must have a zero diagonal; a self-loop raises :class:`ValueError`.
     """
     for g in (a, b):
         if np.diag(g.adj).any():

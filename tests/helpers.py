@@ -13,32 +13,12 @@ from eigeniso import DEFAULT_EPS, Graph, Permutation, group_eigenvalues, project
 # Base graphs of CFI pairs (generators.cfi), as edge lists.
 K4_EDGES = list(itertools.combinations(range(4), 2))
 K33_EDGES = [(u, v) for u in range(3) for v in range(3, 6)]
-
-
-class SearchSpy:
-    """Stands in for ``solver.search`` and records every call, the inner
-    searches for automorphisms included.
-
-    ``active`` counts the searches running now; ``calls`` holds one
-    (depth, a, b, items) per ended search, inner ones before their caller,
-    with depth 0 for a search nothing else started and items its events
-    followed by its report.
-    """
-
-    def __init__(self, search) -> None:
-        self.search = search
-        self.active = 0
-        self.calls: list[tuple[int, Graph, Graph, list]] = []
-
-    def __call__(self, a, b, opts):
-        depth = self.active
-        self.active += 1
-        try:
-            items = list(self.search(a, b, opts))
-        finally:
-            self.active -= 1
-        self.calls.append((depth, a, b, items))
-        yield from items
+# outer 5-cycle, spokes, inner pentagram
+PETERSEN_EDGES = (
+    [(k, (k + 1) % 5) for k in range(5)]
+    + [(k, k + 5) for k in range(5)]
+    + [(5 + k, 5 + (k + 2) % 5) for k in range(5)]
+)
 
 
 def disjoint_edges(k: int) -> Graph:
@@ -66,6 +46,64 @@ def chang_4k2() -> Graph:
     cut = np.outer(switched, ~switched) | np.outer(~switched, switched)
     adj[cut] = 1.0 - adj[cut]
     return Graph(adj)
+
+
+def cayley_table(generators: list[tuple[int, ...]]) -> list[list[int]]:
+    """The Cayley table of the permutation group the generators generate.
+
+    Elements are the closure of the generators under composition, listed
+    in the order they are found (the identity first); entry [x][y] is the
+    index of x followed by y.
+    """
+    identity = tuple(range(len(generators[0])))
+    elements, index = [identity], {identity: 0}
+    for x in elements:  # grows while it is read: a breadth-first closure
+        for g in generators:
+            xg = tuple(g[v] for v in x)
+            if xg not in index:
+                index[xg] = len(elements)
+                elements.append(xg)
+    return [[index[tuple(y[v] for v in x)] for y in elements] for x in elements]
+
+
+def cyclic(k: int) -> list[tuple[int, ...]]:
+    """Generators of Z_k acting on k points."""
+    return [tuple((v + 1) % k for v in range(k))]
+
+
+def dihedral(k: int) -> list[tuple[int, ...]]:
+    """Generators of the dihedral group of order 2k acting on k points (D3 = S3)."""
+    return [cyclic(k)[0], tuple(-v % k for v in range(k))]
+
+
+def direct_product(*factors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Generators of the product of the factors, acting on the disjoint union of their points."""
+    sizes = [len(gens[0]) for gens in factors]
+    out = []
+    for f, gens in enumerate(factors):
+        offset = sum(sizes[:f])
+        for g in gens:
+            perm = list(range(sum(sizes)))
+            perm[offset : offset + sizes[f]] = [offset + v for v in g]
+            out.append(tuple(perm))
+    return out
+
+
+def latin_square_graph(table: list[list[int]]) -> Graph:
+    """The Latin-square graph of a k x k Latin square, such as a Cayley table.
+
+    Its k^2 vertices are the cells; two cells are adjacent when they share
+    a row, a column or a symbol.  Strongly regular with parameters
+    (k^2, 3(k - 1), k, 6) for every square of order k; for k >= 5 the
+    graph determines the square up to paratopy, so the Cayley tables of
+    non-isomorphic groups give non-isomorphic graphs.
+    """
+    k = len(table)
+    r, c = np.divmod(np.arange(k * k), k)
+    s = np.asarray(table).ravel()
+    same = (r[:, None] == r) | (c[:, None] == c) | (s[:, None] == s)
+    np.fill_diagonal(same, False)
+    return Graph(same.astype(float))
 
 
 def all_graphs(n: int) -> list[Graph]:

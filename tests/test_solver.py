@@ -42,7 +42,6 @@ from eigeniso.spectral import SpectralDecomposition
 from helpers import (
     K4_EDGES,
     K33_EDGES,
-    SearchSpy,
     arc_consistency_reference,
     chang_4k2,
     dense_norm_bound,
@@ -325,14 +324,6 @@ def hungarian_runs(monkeypatch):
     return runs
 
 
-@pytest.fixture
-def search_spy(monkeypatch):
-    """solver.search, recording every call (see helpers.SearchSpy)."""
-    spy = SearchSpy(solver.search)
-    monkeypatch.setattr(solver, "search", spy)
-    return spy
-
-
 def _lines_full(mask):
     return mask.any(axis=0).all() and mask.any(axis=1).all()
 
@@ -461,6 +452,8 @@ class TestMaskFirstDecision:
         assert not hungarian_runs
 
     def test_search_reports_unchanged(self, monkeypatch):
+        # _decide decides the root alone; with the Hungarian in its place the
+        # root's mask, and so every pin below it, stays the same
         def summary(report):
             return (
                 report.outcome,
@@ -472,7 +465,10 @@ class TestMaskFirstDecision:
                 report.heuristic_rejection,
             )
 
+        decided = []
+
         def hungarian_only(c, eps):
+            decided.append(c.shape)
             lap = _optimum(c)
             return lap.cost, lap.assignment if lap.cost < eps else None, c < eps
 
@@ -488,34 +484,26 @@ class TestMaskFirstDecision:
         mask_first = [run(a, b) for _, a, b in pairs]
         monkeypatch.setattr(solver, "_decide", hungarian_only)
         reference = [run(a, b) for _, a, b in pairs]
-        exits_differ = 0
+        assert len(decided) == len(pairs)  # one decision per search, the root's
         for (name, a, b), (got_events, got), (want_events, want) in zip(
             pairs, mask_first, reference
         ):
             assert got.outcome == want.outcome and got.reason == want.reason, name
+            assert (got.decompositions, got.lap_solves) == (want.decompositions, want.lap_solves) == (2, 1), name
             if got.outcome != ISOMORPHIC:
                 assert summary(got) == summary(want), name
                 assert list(map(fields, got_events)) == list(map(fields, want_events)), name
-                # An inner search for an automorphism of B ends at its first
-                # verified assignment too, so only its outcome must agree.
-                if not got.inner_searches:
-                    assert got.decompositions == want.decompositions, name
-                    assert got.lap_solves == want.lap_solves, name
                 _assert_costs_by_contract(got, _costs(want), self.EPS, name)
                 continue
             # The Hungarian's optimum can be another sub-eps assignment than
-            # the mask's matching and hold at another pin.  Both searches
-            # walk one tree, so one event stream is a prefix of the other.
+            # the mask's matching and hold where the matching fails.  Both
+            # searches walk one tree, so one event stream is a prefix of the
+            # other.
             assert is_exact_isomorphism(a, b, got.permutation), name
             assert is_exact_isomorphism(a, b, want.permutation), name
             for g, w in zip(got_events, want_events):
                 assert fields(g) == fields(w), name
-                if w.accepted:
-                    assert w.cost <= g.cost, name
-                else:
-                    assert self.EPS <= g.cost <= w.cost, name
-            exits_differ += len(got_events) != len(want_events)
-        assert exits_differ > 0
+            assert want.root_cost <= got.root_cost, name
         assert any(want.root_cost >= self.EPS for _, want in reference)
 
 
@@ -649,31 +637,24 @@ class TestMaskGuidedSearch:
     """Mask-guided candidate lists and the matching test below the root."""
 
     def test_reports_match_scan_all_reference(self, hungarian_runs):
-        for name, a, b in _pairs_for_equivalence():
+        # The reference pins as the paper does, by loops and a decomposition
+        # per pin; the search pins by colour refinement.  Both decide the
+        # root alike and give the same answers, the search with the root's
+        # two decompositions alone.
+        for name, a, b in _pairs_for_equivalence() + _backtracking_rejections()[2:]:
             report = is_isomorphic(a, b)
             assert not hungarian_runs, name
-            got = (
-                report.outcome,
-                None if report.permutation is None else list(report.permutation.map),
-                [(r.i, r.j, int(r.mask.sum())) for r in report.rounds],
-                report.backtrack_steps,
-                report.spectral_rejection,
-                report.heuristic_rejection,
-            )
+            got = (report.outcome, report.spectral_rejection, report.heuristic_rejection)
             want, costs, counts = _scan_all_search(a, b)
-            if report.pruned:
-                # Skipping symmetric copies of exhausted subtrees keeps the
-                # answer and saves backtracks.
-                assert got[:3] + got[4:] == want[:3] + want[4:], name
-                assert got[3] < want[3], name
-            else:
-                assert got == want, name
-            _assert_costs_by_contract(report, costs, 1e-6, name)
-            assert report.decompositions <= counts["dec"], name
-            assert report.lap_solves <= counts["lap"], name
-            if name == "srg_fixture":
-                assert report.backtrack_steps > 0 and report.pruned > 0
-                assert report.decompositions < counts["dec"]
+            assert got == (want[0], *want[4:]), name
+            if report.outcome == ISOMORPHIC:
+                assert is_exact_isomorphism(a, b, report.permutation), name
+            _assert_costs_by_contract(report, costs[:1] + [(0.0, True)] * len(report.rounds), 1e-6, name)
+            assert (report.decompositions, report.lap_solves) == (2, 1), name
+            assert counts["dec"] >= 2 and counts["lap"] >= 1, name
+            if report.heuristic_rejection:
+                assert report.backtrack_steps <= counts["bt"], name
+                assert report.decompositions < counts["dec"], name
 
     def test_pinned_decision_agrees_with_hungarian(self, hungarian_runs):
         # below the root a pin's cost matrix is decided by solver._decide too:
@@ -726,9 +707,10 @@ class TestMaskGuidedSearch:
     def test_accepted_masks_nest_and_the_level_below_scans_their_row(self):
         # an accepted pin's mask lies inside its parent's (the root's at
         # level 0), and the level below scans exactly that mask's row of its
-        # vertex, in order, all of it unless the search ends there
-        g = paley(17)
-        b = apply_permutation(g, random_permutation(17, 1))
+        # vertex, in order, all of it unless the search ends there; lattice(5)
+        # takes 7 rounds here (paley(17) ends in 2 since pins refine colours)
+        g = lattice(5)
+        b = apply_permutation(g, random_permutation(25, 1))
         *events, report = solver.search(g, b, SolverOptions())
         assert report.outcome == ISOMORPHIC
         masks = {}  # level -> the mask of its last accepted event, -1 the root
@@ -767,39 +749,42 @@ class TestMaskGuidedSearch:
                     checked += 1
         assert checked > 0 and offered == 0
 
-    def test_accepted_event_cost_bounds_round_cost(self, monkeypatch, search_spy):
-        # an accepted pin's event, which is its round, carries the accepted
-        # assignment's cost: an upper bound of its cost matrix's optimum,
-        # the optimum itself when the sub-eps mask has one perfect matching
+    def test_accepted_event_cost_bounds_round_cost(self, monkeypatch):
+        # the root's event carries its accepted assignment's cost, an upper
+        # bound of its cost matrix's optimum, the optimum itself when the
+        # sub-eps mask has one perfect matching; a pin's cost is exact, 0.0
+        # when accepted and inf otherwise, and an accepted pin's event is
+        # its round
         eps = 1e-6
-        decided = []  # (searches running, cost matrix)
+        decided = []  # the cost matrices decided
         decide = solver._decide
 
         def recorded(c, eps):
-            decided.append((search_spy.active, c))
+            decided.append(c)
             return decide(c, eps)
 
         monkeypatch.setattr(solver, "_decide", recorded)
-        strict = 0
+        strict = pins = 0
         for name, a, b in _pairs_for_equivalence():
             decided.clear()
             *events, report = solver.search(a, b, SolverOptions())
-            outer = [c for active, c in decided if active == 1]  # not an inner search's
-            with_mask = [e for e in events if e.mask is not None]
-            assert len(with_mask) == len(outer), name
-            last = {}  # level -> its last accepted event
-            for e, c in zip(with_mask, outer):
-                if e.level is None or not e.accepted:
-                    continue
+            (c,) = decided  # the root's alone
+            root = events[0]
+            if root.accepted:
                 optimum = _optimum(c).cost
-                assert optimum <= e.cost < eps, name
-                if is_unique_zero_assignment(e.mask):
-                    assert e.cost == optimum, name
-                strict += optimum < e.cost
-                last[e.level] = e
+                assert optimum <= root.cost < a.n * eps, name
+                if is_unique_zero_assignment(root.mask):
+                    assert root.cost == optimum, name
+                strict += optimum < root.cost
+            last = {}  # level -> its last accepted event
+            for e in events[1:]:
+                assert e.cost == (0.0 if e.accepted else np.inf), name
+                if e.accepted:
+                    last[e.level] = e
+                pins += 1
             for level, r in enumerate(report.rounds):
                 assert r is last[level], name
-        assert strict > 0
+        assert strict > 0 and pins > 0
 
 
 class TestIsIsomorphicAccepts:
@@ -1044,10 +1029,11 @@ class TestPinWitness:
         assert (report.decompositions, report.backtrack_steps) == (2, 0)
 
     def test_loose_eps_pin_is_decided_once_within_its_fixpoint(self):
-        # at eps = 2 the sub-eps mask of pin (0, 1) holds a perfect matching
-        # and its consistency fixpoint does not: the one decision, made on
-        # the mask within the fixpoint, rejects the pin at cost inf, with no
-        # round and no backtrack
+        # at eps = 2 the sub-eps mask of the paper's pin (0, 1), a loop on
+        # each side and a decomposition, holds a perfect matching; the colour
+        # refinement refutes the pin exactly (A-vertex 0 has degree 2,
+        # B-vertex 1 degree 1), at cost inf with no mask, no round, no
+        # backtrack and no decomposition
         adj = np.zeros((5, 5))
         for u, v in ((0, 2), (0, 3), (1, 2), (1, 3), (1, 4)):
             adj[u, v] = adj[v, u] = 1.0
@@ -1055,38 +1041,36 @@ class TestPinWitness:
         b = apply_permutation(g, random_permutation(5, 241))
         *events, report = solver.search(g, b, SolverOptions(eps=2.0, max_backtrack_steps=30))
         (pin,) = [e for e in events if (e.level, e.i, e.j) == (0, 0, 1)]
-        assert pin.mask is not None and not pin.accepted and pin.cost == np.inf
+        assert (pin.cost, pin.mask, pin.accepted, pin.pruned) == (np.inf, None, False, False)
         da, db = eigendecompose(perturb(g, 0, 1.0)), eigendecompose(perturb(b, 1, 1.0))
         assert _has_matching(build_cost_matrix(da, db, 2.0) < 2.0)
         assert report.outcome == ISOMORPHIC and report.backtrack_steps == 0
         assert [(r.level, r.i, r.j) for r in report.rounds] == [(0, 0, 2)]
-        assert report.decompositions == 5  # the root's two, pinned A's one, two pins
+        assert report.consistency_rejects == 2  # the pins (0, 0) and (0, 1)
+        assert report.decompositions == 2  # the root's two
         assert is_exact_isomorphism(g, b, report.permutation)
 
-    def test_loose_eps_never_pins_a_b_vertex_twice(self, search_spy):
+    def test_loose_eps_never_pins_a_b_vertex_twice(self):
         # at eps = 2 a pin's loop no longer sets its B-vertex apart, so the
-        # uncut sub-eps masks offer it again; the parent mask a pin is refined
-        # on has the pinned columns cleared, so no stream, an inner search's
-        # included, pins one B-vertex at two levels at once
+        # paper's uncut sub-eps masks offer it again; the parent mask a pin is
+        # refined on has the pinned columns cleared, so the stream never pins
+        # one B-vertex at two levels at once
         g = path(3)
         b = apply_permutation(g, random_permutation(3, 0))
-        report = is_isomorphic(g, b, SolverOptions(eps=2.0))
-        outer = next(items for depth, *_, items in search_spy.calls if depth == 0)
+        *events, report = solver.search(g, b, SolverOptions(eps=2.0))
         offered = []  # A-vertices a first-level pin's uncut mask offers its B-vertex
-        for e in outer[:-1]:
+        for e in events:
             if e.level == 0 and e.mask is not None:
                 da, db = eigendecompose(perturb(g, e.i, 1.0)), eigendecompose(perturb(b, e.j, 1.0))
                 offered.append(int((build_cost_matrix(da, db, 2.0)[:, e.j] < 2.0).sum()))
         assert max(offered) > 1
-        pinned = 0
-        for *_, items in search_spy.calls:
-            pins = []
-            for e in items[:-1]:
-                if e.level is not None and not e.pruned:
-                    assert e.j not in pins[: e.level]
-                    pinned += 1
-                if e.level is not None and e.accepted:
-                    pins[e.level :] = [e.j]
+        pinned, pins = 0, []
+        for e in events:
+            if e.level is not None and not e.pruned:
+                assert e.j not in pins[: e.level]
+                pinned += 1
+            if e.level is not None and e.accepted:
+                pins[e.level :] = [e.j]
         assert pinned > 0
         assert report.outcome == ISOMORPHIC
         assert is_exact_isomorphism(g, b, report.permutation)
@@ -1159,44 +1143,57 @@ class TestArcConsistency:
                 outcomes.add(got is None)
         assert outcomes == {True, False}
 
-    def test_srg_fixture_refutes_pins_undecomposed(self, monkeypatch, search_spy):
+    def test_srg_fixture_refutes_pins_undecomposed(self, monkeypatch):
         # under the level-0 pin (0, 0) of the rook's graph, every candidate
-        # of Shrikhande's is refuted: read lazily, the outer stream
-        # decomposes no B between the event before a refuted pin and the
-        # refuted pin's own event
+        # of Shrikhande's is refuted, read lazily with no decomposition past
+        # the root's two, and each by an exact test: unequal colour
+        # histograms or an emptied line of the fixpoint
         a, b = srg_fixture()
-        off = ~np.eye(b.n, dtype=bool)
-        outer = []  # the B-side graphs the outer search decomposes
-        decompose = solver.eigendecompose
+        decomposed, unequal = [], []
+        decompose, refine = solver.eigendecompose, solver._refine
 
         def counted(g):
-            if search_spy.active == 0 and np.array_equal(g.adj[off], b.adj[off]):
-                outer.append(g)
+            decomposed.append(g)
             return decompose(g)
 
+        def refined(*args):
+            colours = refine(*args)
+            unequal.append(colours is None)
+            return colours
+
         monkeypatch.setattr(solver, "eigendecompose", counted)
-        refuted = before = 0
-        for e in search_spy.search(a, b, SolverOptions()):
+        monkeypatch.setattr(solver, "_refine", refined)
+        refuted = 0
+        for e in solver.search(a, b, SolverOptions()):
             if isinstance(e, solver.SearchEvent) and e.level == 1:
                 assert (e.cost, e.mask, e.accepted, e.pruned) == (np.inf, None, False, False)
-                assert len(outer) == before
+                assert decomposed == [a, b]
                 refuted += 1
-            before = len(outer)
         assert e.outcome == NOT_ISOMORPHIC and refuted > 0
+        assert e.consistency_rejects >= sum(unequal) > 0
 
-    def test_report_counts_the_refuted_pins(self, search_spy):
-        # consistency_rejects counts the refuted events (cost inf, mask None,
-        # not pruned) of every stream, an inner search's included
+    def test_report_counts_the_refuted_pins(self, monkeypatch):
+        # consistency_rejects counts the pins refuted by their histograms or
+        # fixpoint, those of the inner searches for automorphisms included:
+        # the outer stream's refuted events (cost inf, mask None, not pruned)
+        # and the rest
+        refuted = []
+        individualise = solver._individualise
+
+        def recorded(*args):
+            pinned = individualise(*args)
+            refuted.append(pinned is None)
+            return pinned
+
+        monkeypatch.setattr(solver, "_individualise", recorded)
         inner = 0
         for name, a, b in _backtracking_rejections():
-            search_spy.calls.clear()
-            report = is_isomorphic(a, b)
-            refuted = [
-                (depth, sum(e.cost == np.inf and e.mask is None and not e.pruned for e in items[:-1]))
-                for depth, *_, items in search_spy.calls
-            ]
-            assert report.consistency_rejects == sum(k for _, k in refuted) > 0, name
-            inner += sum(k for depth, k in refuted if depth > 0)
+            refuted.clear()
+            *events, report = solver.search(a, b, SolverOptions())
+            outer = sum(e.cost == np.inf and e.mask is None and not e.pruned for e in events)
+            assert report.consistency_rejects == sum(refuted) > 0, name
+            assert outer <= report.consistency_rejects, name
+            inner += report.consistency_rejects - outer
         assert inner > 0
 
 
@@ -1261,29 +1258,31 @@ class TestAutomorphismPruning:
         }
         assert steps == {1}
 
-    def test_kept_automorphisms_fix_the_pins(self, search_spy):
-        # an inner search runs from B pinned at j0 to B pinned at j; the
-        # permutation it verifies maps B, pins included, onto itself and j0 to j
-        kept = 0
+    def test_kept_automorphisms_fix_the_pins(self, monkeypatch):
+        # an inner search runs from B individualised at an accepted j0 to B
+        # individualised at j; the permutation it keeps maps B onto itself,
+        # fixes the pins of its level and maps j0 to j
+        kept = []
+        finds = solver._Levels.finds_automorphism
+
+        def recorded(levels, accepted, j, cb, pins):
+            before = len(levels.automorphisms)
+            found = finds(levels, accepted, j, cb, pins)
+            kept.extend((levels.b, sigma, list(accepted), j, list(pins)) for sigma in levels.automorphisms[before:])
+            return found
+
+        monkeypatch.setattr(solver._Levels, "finds_automorphism", recorded)
         pairs = [srg_fixture(), (cfi(K4_EDGES), cfi(K4_EDGES, twist=True))]
         for a, b in pairs:
-            search_spy.calls.clear()
+            kept.clear()
             report = is_isomorphic(a, b)
             assert report.outcome == NOT_ISOMORPHIC and report.pruned > 0
-            for depth, x, y, items in search_spy.calls:
-                if depth == 0 or items[-1].outcome != ISOMORPHIC:
-                    continue
-                sigma = items[-1].permutation.map
-                loops = np.diag(x.adj) - np.diag(y.adj)
-                j0, j = int(loops.argmax()), int(loops.argmin())
-                pinned_b = x.adj.copy()
-                pinned_b[j0, j0] -= loops[j0]
-                assert np.array_equal(pinned_b[np.ix_(sigma, sigma)], pinned_b)
-                assert sigma[j0] == j
-                pins = np.flatnonzero(np.diag(pinned_b))
-                assert np.array_equal(sigma[pins], pins)
-                kept += 1
-        assert kept > 0
+            assert kept
+            for g, sigma, accepted, j, pins in kept:
+                assert g is b
+                assert np.array_equal(b.adj[np.ix_(sigma, sigma)], b.adj)
+                assert sigma[pins].tolist() == pins
+                assert any(sigma[j0] == j for j0 in accepted)
 
     def test_isomorphic_searches_run_no_inner_search(self):
         # an inner search starts from an exhausted accepted pin, so a
@@ -1415,41 +1414,52 @@ class TestSearchEvents:
         ]
         return fields
 
-    def test_last_item_is_the_report(self, search_spy):
+    def test_last_item_is_the_report(self, monkeypatch):
+        # only the root decides a cost matrix, so lap_solves is 1 where its
+        # event has a mask; each inner search runs its own levels
+        created = []
+
+        class Counted(solver._Levels):
+            def __init__(self, *args):
+                created.append(args[-1])  # the backtrack cap
+                super().__init__(*args)
+
+        monkeypatch.setattr(solver, "_Levels", Counted)
         inner = 0
         for name, a, b in _pairs_for_equivalence():
-            search_spy.calls.clear()
+            created.clear()
             *events, last = solver.search(a, b, SolverOptions())
-            calls = search_spy.calls[:]
+            built = created[:]
             report = is_isomorphic(a, b)
             assert self._fields(last) == self._fields(report), name
             assert events[0].level is events[0].i is events[0].j is None, name
             assert all(isinstance(e, solver.SearchEvent) for e in events), name
-            # every cost matrix decided, an inner search's too, is a mask
-            # event of one stream
-            streams = [items[:-1] for *_, items in calls]
-            assert sum(e.mask is not None for s in streams for e in s) == report.lap_solves, name
-            assert len(calls) - 1 == report.inner_searches, name
+            assert all(e.level is not None for e in events[1:]), name
+            assert report.lap_solves == int(events[0].mask is not None) == 1, name
+            if built:  # the outer levels first, then one per inner search
+                assert len(built) - 1 == report.inner_searches, name
             inner += report.inner_searches
         assert inner > 0
 
-    def test_decompositions_add_up_from_the_events(self, search_spy):
-        # each stream decomposes both inputs at its root, B once per pin it
-        # evaluates, and A once per new frame, whose first event is the
-        # first one at a level above its predecessor's (the root's is -1);
-        # a pruned or refuted pin has an infinite cost and no decomposition
+    def test_decompositions_add_up_from_the_events(self, monkeypatch):
+        # each solve decomposes its two inputs at the root and nothing else,
+        # whatever its pins, refutations and inner searches
         g = cfi(K33_EDGES)
         twist = apply_permutation(cfi(K33_EDGES, twist=True), random_permutation(g.n, 1))
+        decomposed = []
+        decompose = solver.eigendecompose
+
+        def counted(x):
+            decomposed.append(x)
+            return decompose(x)
+
+        monkeypatch.setattr(solver, "eigendecompose", counted)
         inner = 0
         for name, a, b in _pairs_for_equivalence() + [("cfi(K3,3) twist", g, twist)]:
-            search_spy.calls.clear()
-            report = is_isomorphic(a, b)
-            total = 0
-            for *_, items in search_spy.calls:
-                levels = [-1 if e.level is None else e.level for e in items[:-1]]
-                total += 2 + sum(e.level is not None and e.cost < np.inf for e in items[:-1])
-                total += sum(hi > lo for lo, hi in zip(levels, levels[1:]))
-            assert total == report.decompositions, name
+            decomposed.clear()
+            *events, report = solver.search(a, b, SolverOptions())
+            assert decomposed == [a, b], name
+            assert report.decompositions == 2, name
             inner += report.inner_searches
         assert inner > 0
 
