@@ -15,9 +15,15 @@ colours of A and B, which start as the classes of equal diagonal entries,
 are refined together (:func:`_refine`); unequal histograms refute the pin.
 Else the pin's mask is the parent mask on pairs of equal colour, row i and
 column j cleared but for (i, j), at its arc-consistency fixpoint
-(:func:`_arc_consistency`); an emptied line refutes the pin.  A perfect
-matching of that mask accepts the pin and is its witness, and the mask is
-the next level's parent mask.  The search ends at the first witness that
+(:func:`_arc_consistency`); an emptied line refutes the pin.  When the
+parent mask keeps every pair of equal colour, as on every pin of the
+strongly regular and Latin-square pairs, that fixpoint is the mask of
+equal colours itself, in closed form: the refined colouring is stable with
+equal histograms, so every pair of equal colour is supported, and i and j
+alone share their colour (:func:`_individualise`).  A perfect matching of
+the mask accepts the pin and is its witness (in closed form, the k-th
+A-vertex of each colour against its k-th B-vertex), and the mask is the
+next level's parent mask.  The search ends at the first witness that
 maps the inputs onto each other entry for entry, diagonal included
 (:func:`is_exact_isomorphism`).  Each level is one call; a pin whose
 witness fails calls the level below, unless no row of its mask offers two
@@ -35,7 +41,8 @@ the diagonal and i onto pi(i), and after each pass, as a new colour is a
 function of the old one and the multiset of the neighbours' colours.  So
 the histograms agree and pi lies in the mask of equal colours, where each
 pair (x, pi(x)) is supported by pi's own pairs (pi maps neighbours onto
-neighbours), so the fixpoint keeps pi whole.  By induction a parent mask
+neighbours), so the fixpoint keeps pi whole, and so does the closed form,
+a superset of the fixpoint should sums collide.  By induction a parent mask
 in which no row offers two B-vertices is pi, the witness checked above it,
 else level L's candidates contain pi(i).  No test below the root is
 numerical: colours are integers (a collision of sums merges colours, which
@@ -107,15 +114,16 @@ class SolveReport:
     docstring); or ``"backtrack_cap"`` (inconclusive).
 
     root_cost is the root's spectral distance when that exceeds eps (inf
-    when the sizes differ), else its cost as :func:`_decide` gives it.  A
+    when the sizes differ), else its cost as :func:`_evaluate` gives it.  A
     rejected cost is at least eps and a lower bound of the exact optimum up
     to rounding, possibly far below it, which still certifies the
-    rejection: filtered entries hold partial sums of a row-norm bound (see
-    :func:`build_cost_matrix`), an empty row or column of the sub-eps mask
-    gives a row- or column-minimum sum, and a mask without a perfect
-    matching its least entry outside the mask.  An accepted cost is the
-    row-order sum of the sub-eps mask's matching, the witness, an upper
-    bound of the optimum and below n * eps.  rounds are the accepted
+    rejection: an empty row of the sub-eps mask gives the sum of the row
+    minima, the empty rows' costs exact (else empty columns, the column
+    minima), and a mask without a perfect matching its least entry outside
+    the mask, which may be a partial sum of a row-norm bound (see
+    :func:`build_cost_matrix`).  An accepted cost is the row-order sum of
+    the sub-eps mask's matching, the witness, an upper bound of the optimum
+    and below n * eps.  rounds are the accepted
     :class:`SearchEvent` of each level on the search's path, in level
     order, the very objects :func:`search` yields; a round's i is the
     A-vertex its level pinned, its cost 0.0, and its mask the mask the
@@ -246,6 +254,14 @@ def build_cost_matrix(
         # The factor 2 is a rounding margin between the bound and the
         # exact cost, so no entry below eps is left at its bound.
         ii, jj = np.nonzero(c < 2 * eps)
+    c[ii, jj] = _exact_costs(da, db, starts, ii, jj)
+    return c
+
+
+def _exact_costs(da: SpectralDecomposition, db: SpectralDecomposition, starts: list[int],
+                 ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """The exact costs of the pairs (ii[p], jj[p]), groups beginning at ``starts``."""
+    n = da.n
     exact = np.zeros(ii.shape[0])
     spans = list(zip(starts, [*starts[1:], n]))
     single = [start for start, stop in spans if stop - start == 1]
@@ -262,8 +278,7 @@ def build_cost_matrix(
             for s in range(0, ii.shape[0], block):
                 diff = sorted_a[ii[s : s + block]] - sorted_b[jj[s : s + block]]
                 exact[s : s + block] += np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    c[ii, jj] = exact
-    return c
+    return exact
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -361,11 +376,22 @@ def _evaluate(
 
     Returns (e, assignment, sub-eps mask) as :func:`_decide` does, or
     (spectral distance, None, None) when the spectra differ by more than eps.
+    A rejection by empty rows, else empty columns, first takes the exact
+    costs of those lines, where the matrix may hold partial sums of its
+    bound, so that e sums their true minima; an accepted pair pays nothing.
     """
     dist = spectral_distance(da, db)
     if dist > eps:
         return dist, None, None
-    return _decide(build_cost_matrix(da, db, eps), eps)
+    cost, perm, mask = _decide(c := build_cost_matrix(da, db, eps), eps)
+    if perm is not None:
+        return cost, perm, mask
+    for axis, empty in ((1, ~mask.any(axis=1)[:, None]), (0, ~mask.any(axis=0))):
+        if empty.any():
+            ii, jj = np.nonzero(np.broadcast_to(empty, c.shape))
+            c[ii, jj] = _exact_costs(da, db, group_eigenvalues(da.values, db.values, eps), ii, jj)
+            return _sequential_sum(c.min(axis=axis)), None, mask
+    return cost, None, mask
 
 
 def _pattern(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -425,31 +451,42 @@ def _refine(pa: tuple, pb: tuple, colours: np.ndarray, keys: np.ndarray) -> np.n
         sums, near = keys[0][colours], keys[1][colours]
         sums[:n] += a @ near[:n]
         sums[n:] += b @ near[n:]
-        ids, colours = np.unique(sums, return_inverse=True)
+        # each sum's rank among the distinct sums, as np.unique numbers them
+        order = sums.argsort()
+        ranks = np.cumsum(sums[order[1:]] != sums[order[:-1]])
+        colours = np.empty_like(order)
+        colours[order[0]], colours[order[1:]] = 0, ranks
         if np.bincount(colours, weights=sides).any():
             return None
-        if len(ids) <= k:
+        if ranks[-1] < k:
             return colours
-        k = len(ids)
+        k = ranks[-1] + 1
 
 
 def _individualise(pa: tuple, pb: tuple, mask: np.ndarray, colours: np.ndarray, i: int, j: int,
-                   keys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+                   keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
     """The pin (i, j): i and j take one fresh colour, :func:`_refine` refines
     ``colours`` (A's vertices, then B's), and the pin's mask is the
     :func:`_arc_consistency` fixpoint of ``mask`` on pairs of equal colour,
-    row i and column j cleared but for (i, j).  Returns the colours and the
-    mask, or None when the histograms differ or a line empties."""
+    row i and column j cleared but for (i, j), in closed form when ``mask``
+    keeps every pair of equal colour (see the module docstring).  Returns
+    the colours, the mask and its :func:`perfect_matching` (None if it holds
+    none), or None when the histograms differ or a line empties."""
     n = mask.shape[0]
     colours = colours.copy()
     colours[i] = colours[n + j] = colours.max() + 1
     if (colours := _refine(pa, pb, colours, keys)) is None:
         return None
-    pinned = mask & (colours[:n, None] == colours[n:])
-    pinned[i], pinned[:, j] = False, False
-    pinned[i, j] = True
-    fixpoint = _arc_consistency(pinned, pa, pb)
-    return None if fixpoint is None else (colours, fixpoint)
+    equal = colours[:n, None] == colours[n:]
+    if not (equal > mask).any():  # the fixpoint, and greedy matching's pairs on it
+        match = np.empty(n, dtype=np.intp)
+        match[colours[:n].argsort(kind="stable")] = colours[n:].argsort(kind="stable")
+        return colours, equal, match
+    equal &= mask
+    equal[i], equal[:, j] = False, False
+    equal[i, j] = True
+    fixpoint = _arc_consistency(equal, pa, pb)
+    return None if fixpoint is None else (colours, fixpoint, perfect_matching(fixpoint))
 
 
 class SearchEvent(NamedTuple):
@@ -478,17 +515,15 @@ class SearchEvent(NamedTuple):
 _AUTOMORPHISM_BACKTRACKS = 3
 
 
-def _orbit(seeds: list[int], generators: list[np.ndarray], n: int) -> np.ndarray:
-    """Mask of the seeds' orbits under the group the permutations generate."""
-    inside = np.zeros(n, dtype=bool)
-    inside[seeds] = True
+def _orbit(inside: np.ndarray, generators: list[np.ndarray]) -> None:
+    """Grow the vertex mask ``inside`` to its orbits under the group the permutations generate."""
+    count = np.count_nonzero(inside)
     while True:
-        grown = inside.copy()
         for g in generators:
-            grown[g[grown]] = True
-        if (grown == inside).all():
-            return inside
-        inside = grown
+            inside[g[inside]] = True
+        if (grown := np.count_nonzero(inside)) == count:
+            return
+        count = grown
 
 
 def _fewest(mask: np.ndarray) -> int | None:
@@ -550,15 +585,25 @@ class _Levels:
         verified witness, or None once every candidate is ruled out."""
         rep = self.rep
         pins = [r.j for r in rep.rounds]  # the path above this level
-        depth, inf = len(pins), float("inf")
+        depth, inf, n = len(pins), float("inf"), mask.shape[0]
         candidates = np.flatnonzero(mask[i]).tolist()
         accepted: list[int] = []
+        # The orbit of the candidates ruled out so far under the kept
+        # automorphisms fixing the pins.  It grows only when a candidate
+        # outside it is ruled out, and only such a candidate's search can
+        # have kept more automorphisms, so only then is it closed again.
+        ruled_out, fixing, seen = np.zeros(n, dtype=bool), [], 0
         for k, j in enumerate(candidates):
-            # The cheapest test first: a kept automorphism fixing the pins maps
-            # a candidate ruled out here onto j; then the refinement and its
-            # fixpoint, so a refuted pin costs no automorphism search.
-            fixing = [s for s in self.automorphisms if (s[pins] == pins).all()]
-            if _orbit(candidates[:k], fixing, mask.shape[0])[j]:
+            if k and not ruled_out[candidates[k - 1]]:
+                fixing += [s for s in self.automorphisms[seen:] if (s[pins] == pins).all()]
+                seen = len(self.automorphisms)
+                ruled_out[candidates[k - 1]] = True
+                if fixing:
+                    _orbit(ruled_out, fixing)
+            # The cheapest test first: j lies in that orbit; then the
+            # refinement and its fixpoint, so a refuted pin costs no
+            # automorphism search.
+            if ruled_out[j]:
                 rep.pruned += 1
                 yield SearchEvent(depth, i, j, inf, None, False, pruned=True)
                 continue
@@ -567,12 +612,11 @@ class _Levels:
                 rep.consistency_rejects += 1
                 yield SearchEvent(depth, i, j, inf, None, False)
                 continue
-            if self.finds_automorphism(accepted, j, colours[mask.shape[0] :], pins):
+            if self.finds_automorphism(accepted, j, colours[n:], pins):
                 rep.pruned += 1
                 yield SearchEvent(depth, i, j, inf, None, False, pruned=True)
                 continue
-            refined, sub = pinned
-            match = perfect_matching(sub)
+            refined, sub, match = pinned
             event = SearchEvent(depth, i, j, inf if match is None else 0.0, sub, match is not None)
             yield event
             if match is None:

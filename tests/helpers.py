@@ -246,6 +246,25 @@ def arc_consistency_reference(mask: np.ndarray, a: Graph, b: Graph) -> np.ndarra
     return m
 
 
+def individualise_reference(pa, pb, mask, colours, i, j, keys):
+    """solver._individualise without its closed form: every pin takes the
+    parent mask on pairs of equal colour, clears row i and column j but for
+    (i, j), runs solver._arc_consistency to its fixpoint and matches it with
+    solver.perfect_matching.  Same arguments and results."""
+    from eigeniso import solver
+
+    n = mask.shape[0]
+    colours = colours.copy()
+    colours[i] = colours[n + j] = colours.max() + 1
+    if (colours := solver._refine(pa, pb, colours, keys)) is None:
+        return None
+    pinned = mask & (colours[:n, None] == colours[n:])
+    pinned[i], pinned[:, j] = False, False
+    pinned[i, j] = True
+    fixpoint = solver._arc_consistency(pinned, pa, pb)
+    return None if fixpoint is None else (colours, fixpoint, solver.perfect_matching(fixpoint))
+
+
 def char_poly_spectrum(adj: np.ndarray) -> np.ndarray:
     """Eigenvalues via the characteristic polynomial, as an independent oracle."""
     coeffs = np.poly(adj)

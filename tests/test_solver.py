@@ -43,11 +43,16 @@ from helpers import (
     K4_EDGES,
     K33_EDGES,
     arc_consistency_reference,
+    cayley_table,
     chang_4k2,
+    cyclic,
     dense_norm_bound,
+    dihedral,
     disjoint_edges,
     eigen_groups,
+    individualise_reference,
     lap_brute_force,
+    latin_square_graph,
     sorted_row_distance,
 )
 
@@ -550,11 +555,12 @@ def _scan_all_search(a, b, eps=1e-6):
     costs outside its fixpoint are set to inf, so its sub-eps mask lies
     within the fixpoint.  A pair passes when its sub-eps mask holds a
     perfect matching, as a Hungarian solve on the mask's complement finds,
-    and every cost is the Hungarian optimum of its finite entries or a
-    spectral distance.  The root verifies the assignment that
-    solver._decide proposes, and an accepted pin the matching that
-    solver.perfect_matching finds in its sub-eps mask, the next level's
-    parent mask, as the search does; the first that holds ends the search.
+    and every cost is the Hungarian optimum of its finite entries (the
+    root's of its exact costs) or a spectral distance.  The root verifies
+    the assignment that solver._decide proposes, and an accepted pin the
+    matching that solver.perfect_matching finds in its sub-eps mask, the
+    next level's parent mask, as the search does; the first that holds ends
+    the search.
     A failed witness with no row left to pin refutes the pin.  Returns the
     report's fields, its (cost, accepted) pairs (the root's, then the
     rounds'), and its operation counts.
@@ -567,7 +573,8 @@ def _scan_all_search(a, b, eps=1e-6):
     spectral = root_cost > eps
     if not spectral:
         c = build_cost_matrix(da, db, eps)
-        root_cost, root_mask = solve_lap(c).cost, c < eps
+        # the optimum of the exact costs, which the filtered ones bound below
+        root_cost, root_mask = solve_lap(build_cost_matrix(da, db)).cost, c < eps
         counts["lap"] += 1
         if _has_matching(root_mask):
             proposed = solver._decide(c, eps)[1]
@@ -1197,6 +1204,126 @@ class TestArcConsistency:
         assert inner > 0
 
 
+def _cut_cubic():
+    """A cubic graph on 10 vertices and its relabelling by random_permutation(10, 9),
+    whose root mask cuts the first pin's mask of equal colours."""
+    edges = [(0, 1), (0, 4), (0, 6), (1, 4), (1, 7), (2, 3), (2, 7), (2, 9), (3, 5), (3, 9),
+             (4, 5), (5, 8), (6, 8), (6, 9), (7, 8)]
+    adj = np.zeros((10, 10))
+    adj[tuple(np.transpose(edges))] = 1.0
+    c = Graph(adj + adj.T)
+    return c, apply_permutation(c, random_permutation(10, 9))
+
+
+class TestClosedFormPin:
+    """solver._individualise decides a pin whose parent mask keeps every pair
+    of equal colour by its colours alone, and runs the fixpoint otherwise."""
+
+    @staticmethod
+    def cases():
+        latin = [latin_square_graph(cayley_table(group)) for group in (cyclic(6), dihedral(3))]
+        return _backtracking_rejections() + [
+            ("L(Z6) vs L(S3)", *latin),
+            ("lattice(5)", lattice(5), apply_permutation(lattice(5), random_permutation(25, 1))),
+            ("cut cubic", *_cut_cubic()),
+            # its one pin's witness holds while its mask still offers 14 pairs
+            ("cycle(8)", cycle(8), apply_permutation(cycle(8), random_permutation(8, 1))),
+        ]
+
+    @staticmethod
+    def solve(a, b):
+        """Every event, masks as bytes, and the report's fields and witness."""
+        *events, r = solver.search(a, b, SolverOptions())
+        stream = [
+            (e.level, e.i, e.j, e.cost, e.accepted, e.pruned, None if e.mask is None else e.mask.tobytes())
+            for e in events
+        ]
+        return stream, (
+            r.outcome, r.reason, r.root_cost, r.backtrack_steps, r.decompositions, r.lap_solves,
+            r.pruned, r.inner_searches, r.consistency_rejects, [(e.level, e.i, e.j) for e in r.rounds],
+            None if r.permutation is None else r.permutation.map.tolist(),
+        )
+
+    def test_same_search_as_the_fixpoint_on_every_pin(self, monkeypatch):
+        got = [self.solve(a, b) for _, a, b in self.cases()]
+        monkeypatch.setattr(solver, "_individualise", individualise_reference)
+        for (name, a, b), (stream, report) in zip(self.cases(), got):
+            assert (stream, report) == self.solve(a, b), name
+            assert len(stream) > 1, name
+
+    def test_full_parent_masks_run_no_fixpoint(self, monkeypatch):
+        # every pin of these pairs has a parent mask holding every pair of
+        # equal colour, so the one matching is the root's
+        calls = []
+        for name in ("_arc_consistency", "perfect_matching"):
+            monkeypatch.setattr(
+                solver, name, lambda *args, _f=getattr(solver, name), _n=name: calls.append(_n) or _f(*args)
+            )
+        for a, b in (srg_fixture(), (triangular(8), chang_4k2())):
+            calls.clear()
+            report = is_isomorphic(a, b)
+            assert report.outcome == NOT_ISOMORPHIC and report.backtrack_steps > 0
+            assert calls == ["perfect_matching"]
+
+    def test_a_cut_parent_mask_runs_the_fixpoint(self, monkeypatch):
+        # the root's mask of the cubic pair cuts the first pin's mask of equal
+        # colours, and the fixpoint refutes that pin
+        refuted = []
+        consistency = solver._arc_consistency
+
+        def recorded(*args):
+            fixpoint = consistency(*args)
+            refuted.append(fixpoint is None)
+            return fixpoint
+
+        monkeypatch.setattr(solver, "_arc_consistency", recorded)
+        report = is_isomorphic(*_cut_cubic())
+        assert report.outcome == ISOMORPHIC
+        assert report.consistency_rejects == 1 == refuted.count(True)
+
+    def test_orbit_pruned_candidates_are_those_in_the_orbit(self, monkeypatch):
+        # a candidate pruned before its pin is refined lies in the orbit of its
+        # level's earlier candidates under the kept automorphisms fixing the
+        # pins, recomputed here from scratch; no other candidate does
+        created, refined = [], []
+        init, individualise = solver._Levels.__init__, solver._individualise
+
+        def recorded_init(levels, *args):
+            init(levels, *args)
+            created.append(levels)
+
+        def recorded(pa, pb, mask, colours, i, j, keys):
+            if pa is created[0].pa:  # the outer search's pins, not an inner search's
+                refined.append((i, j))
+            return individualise(pa, pb, mask, colours, i, j, keys)
+
+        monkeypatch.setattr(solver._Levels, "__init__", recorded_init)
+        monkeypatch.setattr(solver, "_individualise", recorded)
+        in_orbit = pruned_after_refining = 0
+        for name, a, b in self.cases()[:4]:
+            created.clear()
+            earlier, kept = {}, 0  # the js of each open level by depth; automorphisms before a candidate
+            for e in solver.search(a, b, SolverOptions()):
+                if not isinstance(e, solver.SearchEvent) or e.level is None:
+                    continue
+                levels = created[0]
+                for depth in [d for d in earlier if d > e.level]:
+                    del earlier[depth]
+                js = earlier.setdefault(e.level, [])
+                pins = [r.j for r in levels.rep.rounds]
+                fixing = [s for s in levels.automorphisms[:kept] if (s[pins] == pins).all()]
+                inside = np.zeros(b.n, dtype=bool)
+                inside[js] = True
+                solver._orbit(inside, fixing)
+                assert inside[e.j] == (e.pruned and (e.i, e.j) not in refined), (name, e)
+                in_orbit += inside[e.j]
+                pruned_after_refining += e.pruned and not inside[e.j]
+                js.append(e.j)
+                refined.clear()
+                kept = len(levels.automorphisms)
+        assert in_orbit > 0 and pruned_after_refining > 0
+
+
 class TestIsIsomorphicRejects:
     def test_vertex_count_mismatch(self):
         report = is_isomorphic(cycle(5), cycle(6))
@@ -1218,7 +1345,8 @@ class TestIsIsomorphicRejects:
         assert not report.spectral_rejection
         assert not report.heuristic_rejection
         assert report.lap_solves == 1
-        assert report.root_cost > 1e-6
+        # the exact row minima (6.41), not their filtered partial sums (0.79)
+        assert report.root_cost >= 2.93
         assert report.rounds == []
 
     def test_srg_pair_rejected_by_search_with_backtracking(self):
